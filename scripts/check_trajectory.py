@@ -3,8 +3,8 @@
 
 Reads ``benchmarks/TRAJECTORY.jsonl`` (see :mod:`repro.obs.trajectory`)
 and compares the latest record's gated metrics — ``*.speedup`` and
-``*.eval_ratio`` higher-is-better, ``*.peak_bytes`` lower-is-better —
-against the median of each metric over the previous ``--window`` records.
+``*.eval_ratio`` higher-is-better, ``*.peak_bytes`` and
+``code.src_lines`` lower-is-better — against the median of each metric over the previous ``--window`` records.
 A metric that degrades by more than ``--threshold`` (fraction) fails the
 gate; raw wall-clock seconds are deliberately not gated (they track the
 host, not the code — the BENCH files' ratio metrics exist for exactly

@@ -147,7 +147,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         default=None,
         help="min-plus kernel backend for the generic curve algebra "
-        "(numpy, soa, numba when installed; see docs/performance.md); "
+        "(numpy or soa; see docs/performance.md); "
         "worker processes inherit the choice",
     )
 
@@ -814,7 +814,7 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     f"{_fmt(float(pool['evictions']))} evictions"
                 )
         sim = report["simulation"]
-        if sim["chain"]["runs"] or sim["fifos"] or sim["workload_items"]:
+        if sim["chain"]["runs"] or sim["workload_items"]:
             print()
             table = TextTable(
                 ["simulation", "count"], title="Simulation engine (sim.* family)"
@@ -838,22 +838,6 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                             _fmt(float(row.get("high_water", 0))),
                             _fmt(float(row.get("overflows", 0))),
                             f"{float(row.get('busy_seconds', 0.0)):.4f}",
-                        ]
-                    )
-                print()
-                print(sub.render())
-            if sim["fifos"]:
-                sub = TextTable(
-                    ["fifo", "high water", "pushed", "overflows"],
-                    title="Pipeline FIFOs",
-                )
-                for fifo, row in sim["fifos"].items():
-                    sub.add_row(
-                        [
-                            fifo,
-                            _fmt(float(row.get("high_water", 0))),
-                            _fmt(float(row.get("pushed", 0))),
-                            _fmt(float(row.get("overflows", 0))),
                         ]
                     )
                 print()

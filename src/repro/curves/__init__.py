@@ -12,7 +12,7 @@ subpackage is a self-contained implementation of that substrate:
   fixed-priority remaining service;
 * :mod:`~repro.curves.minplus` — min-plus convolution / deconvolution;
 * :mod:`~repro.curves.backends` — pluggable generic-kernel backends
-  (numpy reference, batched SoA, optional numba JIT);
+  (numpy reference, batched SoA);
 * :mod:`~repro.curves.compact` — conservative segment-budgeted compaction;
 * :mod:`~repro.curves.bounds` — backlog (eq. (6)), delay and output bounds;
 * :mod:`~repro.curves.shaper` — greedy shapers.
@@ -39,9 +39,7 @@ from repro.curves.minplus import (
 )
 from repro.curves.backends import (
     KernelBackend,
-    BackendUnavailableError,
     active_backend,
-    available_backends,
     get_backend,
     register_backend,
     registered_backends,
@@ -81,9 +79,7 @@ __all__ = [
     "self_convolution_fixpoint",
     "UnboundedCurveError",
     "KernelBackend",
-    "BackendUnavailableError",
     "active_backend",
-    "available_backends",
     "get_backend",
     "register_backend",
     "registered_backends",

@@ -6,15 +6,12 @@ acceleration; the *generic* per-interval line-envelope construction is the
 measured bottleneck on genuinely general curves.  This module makes that
 generic kernel pluggable: a :class:`KernelBackend` registry with
 
-* ``numpy`` — the pure-numpy reference kernel (the oracle; always
-  available, always the default);
+* ``numpy`` — the pure-numpy reference kernel (the oracle and the
+  default);
 * ``soa`` — a batched structure-of-arrays kernel
   (:mod:`repro.curves.soa`) that packs whole *sets* of curves into shared
   padded arrays and sweeps all their envelope cells in chunked vectorized
-  passes; always available (pure numpy);
-* ``numba`` — an optional JIT-compiled scalar kernel
-  (:mod:`repro.curves._kernels_numba`); registered unavailable, with a
-  visible reason, when numba is not importable.
+  passes (also pure numpy).
 
 Selection flows through :func:`set_backend` / :func:`use_backend`,
 ``repro.perf.configure(backend=...)``, and the CLI's ``--backend``.  The
@@ -57,10 +54,8 @@ from repro.util.validation import ValidationError
 
 __all__ = [
     "KernelBackend",
-    "BackendUnavailableError",
     "register_backend",
     "registered_backends",
-    "available_backends",
     "get_backend",
     "active_backend",
     "set_backend",
@@ -73,11 +68,6 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_MINPLUS_BACKEND"
 
 _Pair = tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]
-
-
-class BackendUnavailableError(ValidationError):
-    """Raised when selecting a registered backend whose dependency is
-    missing (e.g. the numba backend without numba installed)."""
 
 
 class KernelBackend:
@@ -98,14 +88,6 @@ class KernelBackend:
     #: Whether :meth:`convolve_batch` is a genuine batched kernel (else it
     #: falls back to a per-pair loop).
     supports_batch = False
-
-    def available(self) -> bool:
-        """Whether the backend's dependencies are importable here."""
-        return True
-
-    def unavailable_reason(self) -> str | None:
-        """Human-readable reason when :meth:`available` is false."""
-        return None
 
     # -- metered entry points -------------------------------------------------
     def convolve(self, f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
@@ -201,44 +183,6 @@ class SoABackend(KernelBackend):
         return soa.convolve_batch_soa(pairs)
 
 
-class NumbaBackend(KernelBackend):
-    """JIT-compiled scalar kernel (:mod:`repro.curves._kernels_numba`).
-
-    Registered even when numba is missing so the registry can report *why*
-    it is unavailable; selecting it then raises
-    :class:`BackendUnavailableError`.  First-call JIT warm-up is amortized
-    by numba's on-disk compilation cache (``cache=True``) and by the
-    kernel cache memoizing every constructed curve.
-    """
-
-    name = "numba"
-    compat_tag = "numba"
-
-    def available(self) -> bool:
-        """True when numba imported successfully."""
-        from repro.curves import _kernels_numba
-
-        return _kernels_numba.NUMBA_AVAILABLE
-
-    def unavailable_reason(self) -> str | None:
-        """The numba import failure, verbatim, when unavailable."""
-        from repro.curves import _kernels_numba
-
-        if _kernels_numba.NUMBA_AVAILABLE:
-            return None
-        return _kernels_numba.NUMBA_IMPORT_ERROR
-
-    def _convolve(self, f, g):
-        from repro.curves import _kernels_numba
-
-        return _kernels_numba.convolve_numba(f, g)
-
-    def _deconvolve(self, f, g):
-        from repro.curves import _kernels_numba
-
-        return _kernels_numba.deconvolve_numba(f, g)
-
-
 _REGISTRY: dict[str, KernelBackend] = {}
 _DEFAULT_BACKEND = "numpy"
 _active: KernelBackend | None = None
@@ -254,14 +198,8 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 def registered_backends() -> dict[str, KernelBackend]:
-    """All registered backends by name, available or not (a copy)."""
+    """All registered backends by name (a copy)."""
     return dict(_REGISTRY)
-
-
-def available_backends() -> list[KernelBackend]:
-    """The registered backends whose dependencies import here, in
-    registration order."""
-    return [b for b in _REGISTRY.values() if b.available()]
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -282,20 +220,13 @@ def active_backend() -> KernelBackend:
 def set_backend(name: str) -> KernelBackend:
     """Select the active backend by name and return it.
 
-    Raises :class:`BackendUnavailableError` (with the import-failure
-    reason) when the backend is registered but its dependency is missing.
     The choice is exported in :data:`BACKEND_ENV_VAR` so worker processes
     spawned afterwards inherit it.
     """
     global _active
-    backend = get_backend(name)
-    if not backend.available():
-        raise BackendUnavailableError(
-            f"min-plus backend {name!r} is unavailable: {backend.unavailable_reason()}"
-        )
-    _active = backend
+    _active = get_backend(name)
     os.environ[BACKEND_ENV_VAR] = name
-    return backend
+    return _active
 
 
 @contextmanager
@@ -325,18 +256,14 @@ def _bootstrap() -> None:
     """Register the built-in backends and activate the initial one.
 
     The initial backend comes from :data:`BACKEND_ENV_VAR` when set (how
-    parallel workers inherit the parent's choice); an unknown or
-    unavailable name falls back to the numpy reference rather than
-    breaking import.
+    parallel workers inherit the parent's choice); an unknown name falls
+    back to the numpy reference rather than breaking import.
     """
     global _active
     register_backend(NumpyBackend())
     register_backend(SoABackend())
-    register_backend(NumbaBackend())
-    _active = _REGISTRY[_DEFAULT_BACKEND]
     wanted = os.environ.get(BACKEND_ENV_VAR)
-    if wanted and wanted in _REGISTRY and _REGISTRY[wanted].available():
-        _active = _REGISTRY[wanted]
+    _active = _REGISTRY.get(wanted or _DEFAULT_BACKEND, _REGISTRY[_DEFAULT_BACKEND])
 
 
 _bootstrap()

@@ -55,8 +55,8 @@ with a structure tag in the key — through :mod:`repro.perf.cache`, so a
 design-space sweep that re-convolves the same pair pays for the
 construction once.  The generic construction itself is *pluggable*: the
 dispatchers route generic-regime operands through the active
-:mod:`repro.curves.backends` backend (pure-numpy reference, batched SoA,
-or numba JIT), and the cache key of such operands carries the backend's
+:mod:`repro.curves.backends` backend (pure-numpy reference or batched
+SoA), and the cache key of such operands carries the backend's
 compatibility tag so memoized results stay sound across backend
 switches; fast-path results are backend-independent and keep untagged
 keys.  Every kernel body reports call counts and timing

@@ -436,10 +436,10 @@ def simulation_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     throughput split by implementation (``sim.chain.runs{impl=...}`` —
     the vectorized replay vs. the event-driven oracle), per-stage FIFO
     high-water marks, overflow counts, and PE busy time
-    (``sim.chain.high_water{stage=k}`` etc.), the two-PE pipeline's FIFO
-    and PE series, and workload-generator output by arrival model
-    (``sim.workload.items{model=...}``).  All empty when no simulation
-    ran — ``obs report`` skips the section then.
+    (``sim.chain.high_water{stage=k}`` etc.; the two-PE pipeline is a
+    one-stage chain, so it reports as stage 0), and workload-generator
+    output by arrival model (``sim.workload.items{model=...}``).  All
+    empty when no simulation ran — ``obs report`` skips the section then.
     """
     stages: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("gauges", ()):
@@ -456,29 +456,12 @@ def simulation_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
             if key == "None":
                 continue
             stages.setdefault(key, {})[field] = value
-    fifos: dict[str, dict[str, int | float]] = {}
-    for entry in snapshot.get("gauges", ()):
-        if entry["name"] != "sim.fifo.high_water":
-            continue
-        key = str(entry["labels"].get("fifo"))
-        row = fifos.setdefault(key, {})
-        row["high_water"] = max(row.get("high_water", 0), entry["value"])
-    for name, field in (
-        ("sim.fifo.pushed", "pushed"),
-        ("sim.fifo.overflows", "overflows"),
-    ):
-        for key, value in _group_counters(snapshot, name, "fifo").items():
-            if key == "None":
-                continue
-            fifos.setdefault(key, {})[field] = value
     return {
         "chain": {
             "runs": _group_counters(snapshot, "sim.chain.runs", "impl"),
             "item_stages": _group_counters(snapshot, "sim.chain.items", "impl"),
             "stages": dict(sorted(stages.items())),
         },
-        "fifos": dict(sorted(fifos.items())),
-        "pe_busy_seconds": _group_counters(snapshot, "sim.pe.busy_seconds", "pe"),
         "workload_items": _group_counters(snapshot, "sim.workload.items", "model"),
     }
 

@@ -8,9 +8,10 @@ benchmark run a durable footprint:
 
 * :func:`build_record` flattens the current ``BENCH_*.json`` documents
   into one flat ``metrics`` mapping (``minplus.general_backend.speedup``
-  style dotted keys), records which backend produced each section, and
-  stamps an environment fingerprint (:func:`env_fingerprint`: python /
-  numpy / numba versions, CPU count, platform, best-effort git sha);
+  style dotted keys), adds ``code.src_lines`` (:func:`source_lines`),
+  records which backend produced each section, and stamps an environment
+  fingerprint (:func:`env_fingerprint`: python / numpy versions, CPU
+  count, platform, best-effort git sha);
 * :func:`append_record` appends it to ``benchmarks/TRAJECTORY.jsonl``
   (schema ``repro.trajectory/1``, one JSON object per line, append-only
   — history is never rewritten);
@@ -22,7 +23,9 @@ benchmark run a durable footprint:
   catching a 2× step, which fixed absolute thresholds alone cannot.
 
 Direction is inferred from the metric name: ``*.speedup`` and
-``*.eval_ratio`` are higher-is-better, ``*.peak_bytes`` lower-is-better.
+``*.eval_ratio`` are higher-is-better, ``*.peak_bytes`` and
+``code.src_lines`` lower-is-better (growing the package should be a
+deliberate choice).
 Raw ``*seconds`` timings are excluded from gating by default — they vary
 with host hardware, unlike ratios — but remain in the records for
 inspection and for ``obs diff``.
@@ -40,12 +43,14 @@ import platform
 import re
 import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Iterable
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
     "TRAJECTORY_PATH",
     "env_fingerprint",
+    "source_lines",
     "flatten_bench",
     "build_record",
     "append_record",
@@ -73,7 +78,7 @@ DEFAULT_WINDOW = 5
 HIGHER_BETTER = (re.compile(r"\.speedup$"), re.compile(r"\.eval_ratio$"))
 
 #: Metric-name patterns gated as lower-is-better.
-LOWER_BETTER = (re.compile(r"\.peak_bytes$"),)
+LOWER_BETTER = (re.compile(r"\.peak_bytes$"), re.compile(r"^code\.src_lines$"))
 
 
 def env_fingerprint() -> dict[str, Any]:
@@ -105,11 +110,21 @@ def env_fingerprint() -> dict[str, Any]:
     return {
         "python": platform.python_version(),
         "numpy": _version("numpy"),
-        "numba": _version("numba"),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "git_sha": sha,
     }
+
+
+def source_lines() -> int:
+    """Non-blank lines of the ``repro`` package's Python sources."""
+    package = Path(__file__).resolve().parents[1]
+    return sum(
+        1
+        for path in package.rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
 
 
 def flatten_bench(
@@ -149,9 +164,10 @@ def build_record(
     PR number, ...), an optional ISO *timestamp* (callers stamp it; this
     module never reads the clock so record-building stays deterministic
     under test), the flat ``metrics`` and per-section ``backends``
-    mappings, and the :func:`env_fingerprint`.
+    mappings, and the :func:`env_fingerprint`.  ``metrics`` always holds
+    ``code.src_lines``, the package size at record time.
     """
-    metrics: dict[str, float] = {}
+    metrics: dict[str, float] = {"code.src_lines": float(source_lines())}
     backends: dict[str, str] = {}
     for entry in sorted(os.listdir(bench_dir)):
         if not (entry.startswith("BENCH_") and entry.endswith(".json")):

@@ -20,6 +20,7 @@ Request ops::
 
 The framing is deliberately the same newline-delimited JSON used by the
 repo's trajectory store — greppable, append-friendly, no binary deps.
+A request line may be at most :data:`MAX_LINE_BYTES` long.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "REQUEST_OPS",
+    "MAX_LINE_BYTES",
 ]
 
 #: Protocol schema tag, echoed by ``hello`` and checked by the client.
@@ -51,6 +53,12 @@ REQUEST_OPS = (
     "events",
     "shutdown",
 )
+
+
+#: Longest request line the server reads (asyncio's default
+#: ``StreamReader`` limit, 64 KiB).  A longer line is answered with a
+#: ``protocol`` error and the session is closed.
+MAX_LINE_BYTES = 2**16
 
 
 class ProtocolError(ValueError):

@@ -130,7 +130,19 @@ async def _session(
 
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # the reader refused a line over its limit; the rest of
+                # that line may still be in flight, so the session cannot
+                # find the next request boundary — answer, then close
+                await send(
+                    protocol.error_response(
+                        f"request line exceeds the {protocol.MAX_LINE_BYTES}-byte limit",
+                        error_type="protocol",
+                    )
+                )
+                break
             if not line:
                 break
             try:
@@ -167,7 +179,9 @@ async def serve_unix(
         stopped.set()
 
     server = await asyncio.start_unix_server(
-        lambda r, w: _session(service, r, w, stop), path=path
+        lambda r, w: _session(service, r, w, stop),
+        path=path,
+        limit=protocol.MAX_LINE_BYTES,
     )
     await service.start()
     if ready is not None:
@@ -185,7 +199,7 @@ async def serve_unix(
 async def serve_stdio(service: AnalysisService) -> None:
     """Serve one session over stdin/stdout, then drain."""
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=protocol.MAX_LINE_BYTES)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )

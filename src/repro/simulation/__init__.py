@@ -1,13 +1,13 @@
 """Transaction-level simulation substrate (paper Figures 5 and 7).
 
 A small discrete-event kernel (with O(n) bulk loading of pre-sorted
-event arrays) plus FIFO and processing-element models; the two-PE
-pipeline testbed and its N-stage tandem generalization, each in both
-event-driven and closed-form vectorized-replay form (cross-validated
-against each other); and seeded open-system workload generators
-(Poisson/constant/uniform arrivals, long-task fractions, heterogeneous
-client mixes) whose traces feed the simulators and the workload-curve
-extraction alike.
+event arrays) plus FIFO and processing-element models; N-stage tandem
+chains in both event-driven and closed-form vectorized-replay form
+(cross-validated against each other), with the paper's two-PE testbed
+as the one-stage case (``simulate_pipeline``/``replay_pipeline``); and
+seeded open-system workload generators (Poisson/constant/uniform
+arrivals, long-task fractions, heterogeneous client mixes) whose traces
+feed the simulators and the workload-curve extraction alike.
 """
 
 from repro.simulation.kernel import Simulator

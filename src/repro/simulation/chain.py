@@ -1,9 +1,10 @@
 """N-stage tandem pipelines: vectorized max-plus replay + event oracle.
 
-Generalizes the two-PE testbed of :mod:`repro.simulation.pipeline` to a
-chain of ``S`` processing elements, each clocked at its own frequency and
-fed through its own FIFO: departures of stage ``k`` are the arrivals of
-stage ``k+1``.  Two independent implementations are provided:
+A chain of ``S`` processing elements, each clocked at its own frequency
+and fed through its own FIFO: departures of stage ``k`` are the arrivals
+of stage ``k+1``.  The paper's two-PE testbed is the one-stage case
+(:mod:`repro.simulation.pipeline` calls this module with ``S = 1``).
+Two independent implementations are provided:
 
 * :func:`replay_chain` — one vectorized max-plus scan per stage
   (``cumsum`` + ``np.maximum.accumulate`` + one ``searchsorted`` for the
@@ -19,8 +20,8 @@ agreement on random topologies including tie-heavy simultaneous-event
 traces; the replay is then trusted for million-event scenario grids
 (gated ≥ 20x faster in ``benchmarks/test_bench_sim.py``).
 
-Tie semantics match the two-PE testbed: a slot is freed the instant its
-consumer finishes, *before* any simultaneous arrival is admitted — in
+Tie semantics: a slot is freed the instant its consumer finishes,
+*before* any simultaneous arrival is admitted — in
 the event-driven oracle completions run at priority -1 and inter-stage
 hand-offs are re-scheduled as priority-0 arrival events at the same
 timestamp, in the replay the backlog count uses a relative tie
@@ -199,11 +200,15 @@ def replay_chain(
         (all stages alike), or a per-stage sequence of int-or-``None``.
 
     Each stage is the single-server recursion
-    ``done_i = max(enter_i, done_{i-1}) + demand_i / F`` solved by one
-    ``cumsum`` + ``np.maximum.accumulate`` scan (see
-    :func:`~repro.simulation.pipeline.replay_pipeline`); the departures
-    of stage ``k`` are the arrivals of stage ``k+1``, so the whole chain
-    is ``S`` scans — O(S·M) with no Python-level per-item work.
+    ``done_i = max(enter_i, done_{i-1}) + demand_i / F``.  Unrolled, that
+    is the max-plus scan ``done_i = S_i + max_{j<=i}(enter_j − S_{j-1})``
+    with ``S_i`` the cumulative service time — one ``cumsum`` plus one
+    ``np.maximum.accumulate``.  The stage's maximal backlog is the
+    largest ``i − j + 1`` such that item ``j`` still holds its slot
+    (``done_j > enter_i``) when item ``i`` enters; ``done`` is monotone,
+    so each count is one ``np.searchsorted``.  The departures of stage
+    ``k`` are the arrivals of stage ``k+1``, so the whole chain is ``S``
+    scans — O(S·M) with no Python-level per-item work.
     """
     arrivals, demands, frequencies, caps = _validate_chain(
         arrivals, demands, frequencies, capacities
@@ -218,8 +223,10 @@ def replay_chain(
             service = demands[k] / frequencies[k]
             cum = np.cumsum(service)
             done = cum + np.maximum.accumulate(enter - cum + service)
-            # ties free the slot before simultaneous arrivals (relative
-            # tolerance — see replay_pipeline for the long-trace rationale)
+            # ties free the slot before simultaneous arrivals; the
+            # tolerance is relative so late arrivals in long traces, where
+            # an absolute epsilon would vanish under the float spacing,
+            # compare the same way early ones do
             tol = 1e-12 * np.maximum(1.0, np.abs(enter))
             finished = np.searchsorted(done, enter + tol, side="right")
             backlog = index - finished + 1

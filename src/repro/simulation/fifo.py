@@ -71,19 +71,6 @@ class Fifo(Generic[T]):
             raise ValidationError("finish_service without a matching start_service")
         self._in_service -= 1
 
-    def publish_metrics(self) -> None:
-        """Report this buffer's statistics into the metrics registry.
-
-        Called once per simulation run (not per push, which is the hot
-        path): a backlog high-water gauge plus pushed/overflow counters,
-        labeled by the buffer's name.
-        """
-        from repro.obs.metrics import registry
-
-        registry.gauge("sim.fifo.high_water", fifo=self.name).set_max(self.max_occupancy)
-        registry.counter("sim.fifo.pushed", fifo=self.name).inc(self.total_pushed)
-        registry.counter("sim.fifo.overflows", fifo=self.name).inc(self.overflow_count)
-
     def __len__(self) -> int:
         return self.occupancy
 

@@ -54,12 +54,3 @@ class ProcessingElement:
         """Fraction of ``[0, horizon]`` spent executing."""
         check_positive(horizon, "horizon")
         return min(self.busy_time, horizon) / horizon
-
-    def publish_metrics(self) -> None:
-        """Report this PE's busy time and throughput into the metrics
-        registry, labeled by the PE's name (once per run — the per-item
-        bookkeeping above stays allocation-free)."""
-        from repro.obs.metrics import registry
-
-        registry.counter("sim.pe.busy_seconds", pe=self.name).add(self.busy_time)
-        registry.counter("sim.pe.items", pe=self.name).inc(self.items_processed)

@@ -1,29 +1,22 @@
-"""Transaction-level simulation of the two-PE streaming architecture.
+"""The two-PE streaming testbed of the paper's Figure 7, as a one-stage chain.
 
-This is the testbed of the paper's Figure 7: macroblocks leave PE1 at known
-times (the clip generator's front-end recursion), enter the FIFO of size
-``b`` in front of PE2, and PE2 — clocked at frequency ``F`` — consumes them
-in order.  A macroblock's slot is freed when PE2 *finishes* it.
+Macroblocks leave PE1 at known times (the clip generator's front-end
+recursion), enter the FIFO of size ``b`` in front of PE2, and PE2 —
+clocked at frequency ``F`` — consumes them in order.  A macroblock's slot
+is freed when PE2 *finishes* it.
 
-Two independent implementations are provided:
+Seen from PE2 this is stage 0 of a tandem chain, so both entry points
+are one-stage calls of :mod:`repro.simulation.chain`:
 
-* :func:`simulate_pipeline` — event-driven, on the
-  :class:`~repro.simulation.kernel.Simulator` kernel, using the
-  :class:`~repro.simulation.fifo.Fifo` and
-  :class:`~repro.simulation.pe.ProcessingElement` models;
-* :func:`replay_pipeline` — a closed-form vectorized replay of the same
-  single-server recursion.
+* :func:`simulate_pipeline` runs the event-driven oracle
+  :func:`~repro.simulation.chain.simulate_chain`;
+* :func:`replay_pipeline` runs the vectorized max-plus replay
+  :func:`~repro.simulation.chain.replay_chain`.
 
-They must agree exactly; the test-suite cross-checks them, so the fast
-replay can be trusted for the 14-clip sweeps.  Both report overflow with
-the same semantics: an *overflow* is an arrival that finds the buffer
-already holding ``capacity`` items (slots are freed the instant the
-consumer finishes, before simultaneous arrivals), so ``overflowed`` is
-equivalent to ``max_backlog > capacity`` and ``overflow_count`` counts
-the offending arrivals in both implementations.
-
-The N-stage generalization (tandem pipelines with per-stage frequencies
-and FIFOs) lives in :mod:`repro.simulation.chain`.
+Each only unpacks stage 0 into a :class:`PipelineResult`.  Validation,
+the tie rule, the overflow definition (an arrival that finds the buffer
+already holding ``capacity`` items) and the ``sim.chain.*`` metrics are
+the chain's.
 """
 
 from __future__ import annotations
@@ -32,19 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.metrics import registry
-from repro.obs.tracing import tracer
-from repro.simulation.fifo import Fifo
-from repro.simulation.kernel import Simulator
-from repro.simulation.pe import ProcessingElement
-from repro.util.validation import ValidationError, check_integer, check_positive
+from repro.simulation.chain import ChainResult, replay_chain, simulate_chain
+from repro.util.validation import check_integer
 
 __all__ = ["PipelineResult", "simulate_pipeline", "replay_pipeline"]
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of one pipeline run.
+    """Outcome of one pipeline run (stage 0 of a one-stage chain).
 
     Attributes
     ----------
@@ -54,8 +43,7 @@ class PipelineResult:
         True if the occupancy ever exceeded the buffer capacity.
     overflow_count:
         Number of arrivals that found the buffer already at capacity
-        (0 for unbounded buffers; both implementations count arrivals,
-        so the statistic is comparable across them).
+        (0 for unbounded buffers).
     completion_times:
         Per-item completion times at PE2 (decode order).
     consumer_utilization:
@@ -79,18 +67,15 @@ class PipelineResult:
         return self.max_backlog / capacity
 
 
-def _validate_inputs(arrivals: np.ndarray, demands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    arrivals = np.asarray(arrivals, dtype=float)
-    demands = np.asarray(demands, dtype=float)
-    if arrivals.ndim != 1 or demands.ndim != 1 or arrivals.size != demands.size:
-        raise ValidationError("arrivals and demands must be equal-length 1-D arrays")
-    if arrivals.size == 0:
-        raise ValidationError("pipeline needs at least one item")
-    if np.any(np.diff(arrivals) < 0):
-        raise ValidationError("arrivals must be non-decreasing (in-order stream)")
-    if np.any(demands <= 0):
-        raise ValidationError("demands must be positive")
-    return arrivals, demands
+def _stage0(result: ChainResult) -> PipelineResult:
+    stage = result.stage_stats[0]
+    return PipelineResult(
+        max_backlog=stage.max_backlog,
+        overflowed=stage.overflowed,
+        overflow_count=stage.overflow_count,
+        completion_times=result.departures[0],
+        consumer_utilization=stage.utilization,
+    )
 
 
 def simulate_pipeline(
@@ -102,67 +87,20 @@ def simulate_pipeline(
 ) -> PipelineResult:
     """Event-driven simulation of the FIFO + PE2 stage.
 
-    Arrivals are bulk-loaded through
-    :meth:`~repro.simulation.kernel.Simulator.schedule_sorted` and both
-    the arrival and completion handlers are shared index-cursor
-    callables, so a run allocates O(1) closures instead of one per item
-    — the difference between minutes and seconds on million-event traces
-    (gated by ``benchmarks/test_bench_sim.py``).
-
     Parameters
     ----------
     arrivals:
         Times items enter the FIFO (non-decreasing; PE1 output order).
     demands:
-        PE2 cycle demand per item.
+        PE2 cycle demand per item (1-D).
     frequency:
         PE2 clock in Hz.
     capacity:
         FIFO capacity in items; ``None`` = unbounded (statistics only).
     """
-    arrivals, demands = _validate_inputs(arrivals, demands)
-    check_positive(frequency, "frequency")
-    sim = Simulator()
-    fifo: Fifo[int] = Fifo(capacity, name="PE2.fifo")
-    pe2 = ProcessingElement("PE2", frequency)
-    completions = np.zeros(arrivals.size)
-    done_cursor = 0  # items complete in FIFO order, so one cursor suffices
-
-    def try_start() -> None:
-        if fifo.queued == 0 or not pe2.is_idle_at(sim.now):
-            return
-        index = fifo.start_service()
-        done = pe2.start(sim.now, float(demands[index]))
-        # completions precede simultaneous arrivals: the slot is free the
-        # instant processing ends, matching the replay's accounting
-        sim.schedule(done, complete, priority=-1)
-
-    def complete() -> None:
-        nonlocal done_cursor
-        completions[done_cursor] = sim.now
-        done_cursor += 1
-        fifo.finish_service()
-        try_start()
-
-    def arrive(index: int) -> None:
-        fifo.push(index)
-        try_start()
-
-    sim.schedule_sorted(arrivals, arrive)
-    with tracer.span(
-        "sim.pipeline", impl="event-driven", items=int(arrivals.size), frequency=frequency
-    ):
-        sim.run()
-        fifo.publish_metrics()
-        pe2.publish_metrics()
-    makespan = float(completions[-1]) if completions[-1] > 0 else float(arrivals[-1])
-    return PipelineResult(
-        max_backlog=fifo.max_occupancy,
-        overflowed=fifo.overflow_count > 0,
-        overflow_count=fifo.overflow_count,
-        completion_times=completions,
-        consumer_utilization=pe2.utilization(makespan) if makespan > 0 else 0.0,
-    )
+    # one capacity entry pins the chain to one stage: a 2-D demand
+    # matrix with more rows fails the chain's validation
+    return _stage0(simulate_chain(arrivals, demands, frequency, capacities=[capacity]))
 
 
 def replay_pipeline(
@@ -172,56 +110,10 @@ def replay_pipeline(
     *,
     capacity: int | None = None,
 ) -> PipelineResult:
-    """Closed-form replay of :func:`simulate_pipeline`.
+    """Closed-form replay of :func:`simulate_pipeline` (same parameters).
 
     Completion times follow the single-server recursion
-    ``done_i = max(arrive_i, done_{i-1}) + demand_i / F``.  Unrolled, that
-    is the max-plus scan ``done_i = S_i + max_{j<=i}(arrive_j − S_{j-1})``
-    with ``S_i`` the cumulative service time — one ``cumsum`` plus one
-    ``np.maximum.accumulate``, no Python-level loop.  The maximal backlog
-    is the largest ``i − j + 1`` such that item ``j`` is still occupying
-    its slot (``done_j > arrive_i``) when item ``i`` arrives; ``done`` is
-    monotone, so each count is one ``np.searchsorted``.  Ties (an item
-    completing the instant another arrives) free the slot first, matching
-    the event-driven kernel's completion priority; the tie tolerance is
-    *relative* to the arrival time, so late arrivals in long traces — where
-    an absolute epsilon would vanish under the float spacing — compare the
-    same way early ones do.
-
-    Overflow accounting matches :func:`simulate_pipeline` arrival for
-    arrival: ``overflow_count`` is the number of arrivals whose occupancy
-    exceeded *capacity*, and ``overflowed`` is true iff that count is
-    nonzero (equivalently ``max_backlog > capacity``).
+    ``done_i = max(arrive_i, done_{i-1}) + demand_i / F``, solved as one
+    max-plus scan by :func:`~repro.simulation.chain.replay_chain`.
     """
-    arrivals, demands = _validate_inputs(arrivals, demands)
-    check_positive(frequency, "frequency")
-    with tracer.span(
-        "sim.pipeline", impl="replay", items=int(arrivals.size), frequency=frequency
-    ):
-        service = demands / frequency
-        cum = np.cumsum(service)
-        done = cum + np.maximum.accumulate(arrivals - cum + service)
-        # items finished by each arrival (ties count as finished, as above)
-        tol = 1e-12 * np.maximum(1.0, np.abs(arrivals))
-        finished = np.searchsorted(done, arrivals + tol, side="right")
-        backlog = np.arange(arrivals.size) - finished + 1
-        max_backlog = max(int(backlog.max()), 0)
-        overflow_count = (
-            int(np.count_nonzero(backlog > capacity)) if capacity is not None else 0
-        )
-        makespan = float(done[-1])
-        busy = float(cum[-1])
-        # metric publication stays inside the span so profile self-time
-        # attribution matches the event-driven path
-        registry.gauge("sim.fifo.high_water", fifo="PE2.fifo").set_max(max_backlog)
-        registry.counter("sim.fifo.pushed", fifo="PE2.fifo").inc(int(arrivals.size))
-        registry.counter("sim.fifo.overflows", fifo="PE2.fifo").inc(overflow_count)
-        registry.counter("sim.pe.busy_seconds", pe="PE2").add(busy)
-        registry.counter("sim.pe.items", pe="PE2").inc(int(arrivals.size))
-    return PipelineResult(
-        max_backlog=max_backlog,
-        overflowed=overflow_count > 0,
-        overflow_count=overflow_count,
-        completion_times=done,
-        consumer_utilization=min(busy, makespan) / makespan if makespan > 0 else 0.0,
-    )
+    return _stage0(replay_chain(arrivals, demands, frequency, capacities=[capacity]))

@@ -19,8 +19,7 @@ relative, i.e. a few float64 ulps on unit-scale operands).  Pointwise,
 results must match the brute oracle within ``BRUTE_TOL``.  Any backend
 added through :func:`repro.curves.backends.register_backend` is picked up
 by these tests automatically — the parametrization enumerates the
-registry, it does not hard-code names.  Unavailable backends (numba on an
-install without numba) show up as skips with the import-failure reason.
+registry, it does not hard-code names.
 
 Families: convex, concave, staircase (pure jumps), general (slopes +
 jumps), mixed-shape operands, budget-compacted operands, and
@@ -33,7 +32,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.curves.backends import get_backend
+from repro.curves.backends import get_backend, registered_backends
 from repro.curves.compact import compact_upper
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import (
@@ -43,17 +42,15 @@ from repro.curves.minplus import (
 )
 from repro.reference import convolve_at_brute, deconvolve_at_brute
 
-from tests.curves._backend_util import backend_params
-
 #: Documented envelope agreement bound: a few float64 ulps on unit-scale
 #: operands (the reference assembles values with the same expressions, so
-#: in practice the batched/JIT backends are bit-identical).
+#: in practice the batched backend is bit-identical).
 RTOL = 1e-12
 ATOL = 1e-12
 #: Pointwise agreement with the definitional brute-force oracles.
 BRUTE_TOL = 1e-9
 
-BACKENDS = backend_params()
+BACKENDS = sorted(registered_backends())
 
 
 # -- curve families ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Fuzzing the min-plus operators against brute force, including jumps.
 
 The per-interval line-envelope construction is the most intricate code in
-the repository; these tests compare it against direct numerical optimization
-over dense grids for random curves with staircase jumps, plateaus and rays.
+the repository; these tests compare it against the definitional oracle of
+:mod:`repro.reference` and against direct numerical optimization over
+dense grids, for random curves with staircase jumps, plateaus and rays.
 """
 
 import numpy as np
@@ -10,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves.backends import use_backend
-from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import convolve, convolve_at, deconvolve, deconvolve_at
+from repro.curves.backends import registered_backends, use_backend
+from repro.curves.curve import EPS_REL, PiecewiseLinearCurve
+from repro.curves.minplus import convolve, convolve_at, deconvolve
+from repro.reference import convolve_at_brute
 
-from tests.curves._backend_util import backend_params
-
-#: Every registered min-plus backend (numba shows as a skip when absent);
-#: the dispatch routes the generic kernel through the active backend, so
-#: the brute-force comparisons below gate each backend separately.
-BACKENDS = backend_params()
+#: Every registered min-plus backend: the dispatch routes the generic
+#: kernel through the active backend, so the comparisons below gate each
+#: backend separately.  ``convolve_at`` does not dispatch to a backend
+#: today; running it under each one pins that its value stays independent
+#: of the active backend.
+BACKENDS = sorted(registered_backends())
 
 
 @st.composite
@@ -39,17 +41,6 @@ def jumpy_curves(draw, max_segments=4):
     return PiecewiseLinearCurve(xs, np.array(ys), slopes)
 
 
-def brute_convolve(f, g, d, n=1500):
-    ss = np.linspace(0.0, d, n) if d > 0 else np.array([0.0])
-    best = np.inf
-    for s in ss:
-        fv = 0.0 if s == 0.0 else float(f(s))
-        rest = d - s
-        gv = 0.0 if rest == 0.0 else float(g(max(rest, 0.0)))
-        best = min(best, fv + gv)
-    return best
-
-
 def brute_deconvolve(f, g, d, u_max, n=2000):
     us = np.linspace(0.0, u_max, n)
     best = -np.inf
@@ -59,19 +50,36 @@ def brute_deconvolve(f, g, d, u_max, n=2000):
     return best
 
 
+def convolve_at_tolerance(f, g, d, brute):
+    """Agreement bound of ``convolve_at`` with the definitional oracle.
+
+    ``convolve_at`` reads a left limit by probing ``EPS_REL * max(1, x)``
+    before a breakpoint ``x <= d``, where the oracle takes the limit
+    exactly, so each operand's value may move by its steepest slope times
+    that offset; 1e-12 relative covers the rounding of the sums.
+    """
+    steepest = float(np.max(f.slopes)) + float(np.max(g.slopes))
+    return steepest * EPS_REL * max(1.0, d) + 1e-12 * max(1.0, abs(brute))
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @given(jumpy_curves(), jumpy_curves(), st.floats(min_value=0.0, max_value=12.0))
 @settings(max_examples=60, deadline=None)
 def test_convolve_at_matches_brute(backend_name, f, g, d):
     with use_backend(backend_name):
         exact = convolve_at(f, g, d)
-    brute = brute_convolve(f, g, d)
-    # the grid can miss the true inf by a sliver; the exact value must be
-    # <= any grid point and not far below the grid optimum
-    assert exact <= brute + 1e-9
-    step = d / 1500 if d > 0 else 0.0
-    max_rate = max(f.final_slope, g.final_slope, float(np.max(f.slopes)), float(np.max(g.slopes)))
-    assert exact >= brute - max_rate * step - max(f(d), g(d)) * 1e-9 - 1e-9
+    brute = convolve_at_brute(f, g, d)
+    assert abs(exact - brute) <= convolve_at_tolerance(f, g, d, brute)
+
+
+def test_convolve_at_zero_window_next_to_jump():
+    """Pinned case: ``f`` is zero until it jumps to 0.6 at 0.9502, so at
+    ``d = 1.9`` only splits inside the 0.0004-wide window (0.9498, 0.9502)
+    keep both operands at zero.  A uniform 1500-point grid (step 0.00127)
+    steps over that window and reads 0.6; the exact value is 0."""
+    f = PiecewiseLinearCurve([0.0, 0.9502], [0.0, 0.6], [0.0, 0.0])
+    assert convolve_at_brute(f, f, 1.9) == 0.0
+    assert convolve_at(f, f, 1.9) == 0.0
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -25,15 +25,13 @@ from repro.curves.minplus import (
     deconvolve,
     deconvolve_generic,
 )
-from repro.curves.backends import use_backend
+from repro.curves.backends import registered_backends, use_backend
 from repro.reference import is_concave_brute, is_convex_brute
 
-from tests.curves._backend_util import backend_params
-
-#: Registered backends (numba skips with a visible reason when missing);
-#: generic-path tests run once per backend so the dispatch + oracle
-#: agreement gates every implementation, not just the numpy reference.
-BACKENDS = backend_params()
+#: Registered backends: generic-path tests run once per backend so the
+#: dispatch + oracle agreement gates every implementation, not just the
+#: numpy reference.
+BACKENDS = sorted(registered_backends())
 
 RTOL = 1e-12
 ATOL = 1e-12

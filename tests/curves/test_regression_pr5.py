@@ -26,14 +26,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.chain import _shift_time
-from repro.curves.backends import use_backend
+from repro.curves.backends import registered_backends, use_backend
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import convolve, deconvolve
 from repro.reference import convolve_at_brute, deconvolve_at_brute
 
-from tests.curves._backend_util import backend_params
-
-BACKENDS = backend_params()
+BACKENDS = sorted(registered_backends())
 
 #: At a jump of the exact inf/sup the definitional value is the left
 #: limit while the curve model keeps the right-continuous envelope, so

@@ -3,8 +3,10 @@ dispatch/cache breakdowns, Prometheus exposition."""
 
 import json
 
+import numpy as np
 import pytest
 
+import repro.simulation.chain as chain_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     PROFILE_SCHEMA,
@@ -22,6 +24,7 @@ from repro.obs.profile import (
     write_collapsed,
     write_profile,
 )
+from repro.simulation import replay_pipeline
 
 
 def _span(name, ts, dur, sid, parent=None, attrs=None, **extra):
@@ -272,33 +275,36 @@ class TestServiceBreakdown:
 
 
 class TestSimulationBreakdown:
-    def test_groups_chain_fifo_and_workload_series(self):
+    def test_groups_chain_fifo_and_workload_series(self, monkeypatch):
+        """Chain series group by implementation and stage; a two-PE
+        pipeline run reports its FIFO and PE2 as chain stage 0."""
         reg = MetricsRegistry()
-        reg.counter("sim.chain.runs", impl="replay").inc(2)
+        monkeypatch.setattr(chain_module, "registry", reg)
         reg.counter("sim.chain.runs", impl="event-driven").inc(1)
         reg.counter("sim.chain.items", impl="replay").inc(600)
-        reg.gauge("sim.chain.high_water", stage=0).set_max(7)
         reg.gauge("sim.chain.high_water", stage=1).set_max(3)
-        reg.counter("sim.chain.overflows", stage=0).inc(4)
         reg.counter("sim.chain.busy_seconds", stage=1).add(2.5)
-        reg.gauge("sim.fifo.high_water", fifo="input").set_max(9)
-        reg.counter("sim.fifo.pushed", fifo="input").inc(100)
         reg.counter("sim.workload.items", model="poisson").inc(512)
+        # nine simultaneous arrivals into a 4-slot FIFO: five overflow
+        replay_pipeline(np.zeros(9), np.ones(9), 1.0, capacity=4)
         sim = simulation_breakdown(reg.snapshot())
-        assert sim["chain"]["runs"] == {"replay": 2, "event-driven": 1}
-        assert sim["chain"]["item_stages"] == {"replay": 600}
-        assert sim["chain"]["stages"]["0"]["high_water"] == 7
-        assert sim["chain"]["stages"]["0"]["overflows"] == 4
-        assert sim["chain"]["stages"]["1"]["busy_seconds"] == 2.5
-        assert sim["fifos"]["input"] == {"high_water": 9, "pushed": 100}
+        assert sim["chain"]["runs"] == {"replay": 1, "event-driven": 1}
+        assert sim["chain"]["item_stages"] == {"replay": 609}
+        assert sim["chain"]["stages"]["0"] == {
+            "high_water": 9,
+            "overflows": 5,
+            "busy_seconds": 9.0,
+        }
+        assert sim["chain"]["stages"]["1"] == {"high_water": 3, "busy_seconds": 2.5}
         assert sim["workload_items"] == {"poisson": 512}
+        assert set(sim) == {"chain", "workload_items"}
 
     def test_empty_snapshot_is_empty(self):
         sim = simulation_breakdown(MetricsRegistry().snapshot())
         assert sim["chain"]["runs"] == {}
         assert sim["chain"]["stages"] == {}
-        assert sim["fifos"] == {}
         assert sim["workload_items"] == {}
+        assert set(sim) == {"chain", "workload_items"}
 
 
 class TestProfileReport:

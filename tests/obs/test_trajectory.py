@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.trajectory import (
     TRAJECTORY_SCHEMA,
     append_record,
@@ -16,6 +17,7 @@ from repro.obs.trajectory import (
     flatten_bench,
     metric_direction,
     read_records,
+    source_lines,
 )
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "check_trajectory.py"
@@ -61,7 +63,7 @@ class TestBuildAppendRead:
         bench = tmp_path / "bench"
         bench.mkdir()
         (bench / "BENCH_a.json").write_text(
-            json.dumps({"s": {"speedup": 3.0, "backend": "numba"}})
+            json.dumps({"s": {"speedup": 3.0, "backend": "soa"}})
         )
         (bench / "not_a_bench.json").write_text("{}")
         store = tmp_path / "T.jsonl"
@@ -71,8 +73,11 @@ class TestBuildAppendRead:
         records = read_records(store)
         assert [r["run_id"] for r in records] == ["r1", "r2"]
         assert records[0]["schema"] == TRAJECTORY_SCHEMA
-        assert records[0]["metrics"] == {"a.s.speedup": 3.0}
-        assert records[0]["backends"] == {"a.s": "numba"}
+        assert records[0]["metrics"] == {
+            "a.s.speedup": 3.0,
+            "code.src_lines": float(source_lines()),
+        }
+        assert records[0]["backends"] == {"a.s": "soa"}
         assert records[0]["timestamp"] == "2026-08-08T00:00:00Z"
 
     def test_missing_store_is_empty_history(self, tmp_path):
@@ -89,7 +94,25 @@ class TestBuildAppendRead:
         assert env["python"]
         assert env["numpy"]  # numpy is a hard dependency of the repo
         assert env["cpu_count"] >= 1
-        assert "numba" in env and "git_sha" in env
+        assert "git_sha" in env
+
+    def test_every_record_counts_package_source_lines(self, tmp_path):
+        package = Path(repro.__file__).parent
+        expected = sum(
+            1
+            for path in package.rglob("*.py")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        )
+        record = build_record(tmp_path)  # no BENCH files at all
+        assert record["metrics"] == {"code.src_lines": float(expected)}
+        assert expected > 1000
+        assert metric_direction("code.src_lines") == "lower"
+        grown = [_record({"code.src_lines": 10_000.0}) for _ in range(3)]
+        grown.append(_record({"code.src_lines": 15_000.0}))
+        (violation,) = check_records(grown)["violations"]
+        assert violation["metric"] == "code.src_lines"
+        assert violation["direction"] == "lower"
 
 
 class TestDirections:

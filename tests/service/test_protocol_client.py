@@ -125,6 +125,24 @@ class TestClientServer:
                 assert seen[0] == "queued"
                 assert seen[-1] == "done"
 
+    def test_over_limit_line_gets_protocol_error_and_server_survives(
+        self, live_server
+    ):
+        demands = [1.0] * 25_000  # a ~100 KB submit line
+        assert len(protocol.encode({"job": {"params": {"demands": demands}}})) > (
+            protocol.MAX_LINE_BYTES
+        )
+        with ServiceClient(live_server, timeout=30) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("curve", {"demands": demands})
+            assert excinfo.value.error_type == "protocol"
+            assert f"{protocol.MAX_LINE_BYTES}-byte limit" in str(excinfo.value)
+            # the server answered, then closed this session
+            with pytest.raises((ServiceError, OSError)):
+                client.hello()
+        with ServiceClient(live_server, timeout=30) as client:
+            assert client.hello()["schema"] == protocol.SCHEMA
+
     def test_shutdown_stops_server(self, live_server):
         with ServiceClient(live_server, timeout=30) as client:
             client.shutdown()

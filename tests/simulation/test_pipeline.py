@@ -1,4 +1,10 @@
-"""Unit and property tests for the two-PE pipeline simulation."""
+"""Tests for the two-PE pipeline, the one-stage case of the chain.
+
+The chain suite covers the replay and its oracle in general; these keep
+the pipeline adaptors honest: stage-0 unpacking, the simulate-vs-replay
+cross-checks (including a real clip, which the chain suite lacks), the
+overflow semantics and the metrics a pipeline call publishes.
+"""
 
 import numpy as np
 import pytest
@@ -154,6 +160,10 @@ class TestWorkConservation:
 
 
 class TestPublishedMetrics:
+    """A pipeline run is a one-stage chain: its FIFO and PE quantities
+    appear as the ``sim.chain.*`` stage-0 series, and no ``sim.fifo.*``
+    or ``sim.pe.*`` series exists."""
+
     def _series_value(self, name, **labels):
         from repro.obs.metrics import registry
 
@@ -162,16 +172,29 @@ class TestPublishedMetrics:
                 return series.value
         return None
 
+    def _assert_no_pipeline_family(self):
+        from repro.obs.metrics import registry
+
+        names = {
+            entry["name"]
+            for kind in ("counters", "gauges")
+            for entry in registry.snapshot()[kind]
+        }
+        assert not {n for n in names if n.startswith(("sim.fifo.", "sim.pe."))}
+
     def test_event_driven_run_publishes_fifo_and_pe_series(self):
         from repro.obs.metrics import registry
 
+        registry.reset(prefix="sim.")
         arrivals = np.zeros(5)
         demands = np.ones(5)
-        before = self._series_value("sim.pe.items", pe="PE2") or 0
         r = simulate_pipeline(arrivals, demands, 1.0, capacity=3)
-        assert self._series_value("sim.fifo.high_water", fifo="PE2.fifo") >= r.max_backlog
-        assert self._series_value("sim.pe.items", pe="PE2") == before + 5
-        assert self._series_value("sim.fifo.overflows", fifo="PE2.fifo") is not None
+        assert self._series_value("sim.chain.runs", impl="event-driven") == 1
+        assert self._series_value("sim.chain.items", impl="event-driven") == 5
+        assert self._series_value("sim.chain.high_water", stage=0) == r.max_backlog == 5
+        assert self._series_value("sim.chain.overflows", stage=0) == r.overflow_count == 2
+        assert self._series_value("sim.chain.busy_seconds", stage=0) == pytest.approx(5.0)
+        self._assert_no_pipeline_family()
         registry.reset(prefix="sim.")
 
     def test_replay_publishes_equivalent_series(self):
@@ -181,7 +204,10 @@ class TestPublishedMetrics:
         arrivals = np.arange(4, dtype=float)
         demands = np.full(4, 2.0)
         r = replay_pipeline(arrivals, demands, 1.0)
-        assert self._series_value("sim.fifo.high_water", fifo="PE2.fifo") == r.max_backlog
-        assert self._series_value("sim.fifo.pushed", fifo="PE2.fifo") == 4
-        assert self._series_value("sim.pe.busy_seconds", pe="PE2") == pytest.approx(8.0)
+        assert self._series_value("sim.chain.runs", impl="replay") == 1
+        assert self._series_value("sim.chain.items", impl="replay") == 4
+        assert self._series_value("sim.chain.high_water", stage=0) == r.max_backlog
+        assert self._series_value("sim.chain.overflows", stage=0) == 0
+        assert self._series_value("sim.chain.busy_seconds", stage=0) == pytest.approx(8.0)
+        self._assert_no_pipeline_family()
         registry.reset(prefix="sim.")
