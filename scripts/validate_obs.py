@@ -26,6 +26,16 @@ from pathlib import Path
 
 TRACE_KEYS = {"name", "ts", "dur", "id", "parent", "thread", "attrs"}
 METRIC_SECTIONS = ("counters", "gauges", "histograms")
+#: Phases a traced ``case_study.build`` must attribute its time to: every
+#: build span needs each of these among its descendants.
+CASE_STUDY_PHASES = (
+    "case_study.clip",
+    "case_study.generate",
+    "case_study.workload",
+    "case_study.arrival",
+    "case_study.envelopes",
+    "case_study.alpha_max",
+)
 MANIFEST_KEYS = {
     "schema",
     "experiment_id",
@@ -71,13 +81,39 @@ def validate_trace(path: Path) -> int:
     if count == 0:
         fail(f"{path}: no spans recorded")
     # every non-null parent must reference a recorded span
+    names: dict[object, str] = {}
+    children: dict[object, list[object]] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        parent = json.loads(line)["parent"]
+        record = json.loads(line)
+        parent = record["parent"]
         if parent is not None and parent not in ids:
             fail(f"{path}:{lineno}: dangling parent id {parent}")
+        names[record["id"]] = record["name"]
+        children.setdefault(parent, []).append(record["id"])
+    for span_id, name in names.items():
+        if name == "case_study.build":
+            _require_descendants(path, span_id, names, children, CASE_STUDY_PHASES)
     return count
+
+
+def _require_descendants(
+    path: Path,
+    root: object,
+    names: dict[object, str],
+    children: dict[object, list[object]],
+    required: tuple[str, ...],
+) -> None:
+    found = set()
+    stack = list(children.get(root, ()))
+    while stack:
+        span_id = stack.pop()
+        found.add(names[span_id])
+        stack.extend(children.get(span_id, ()))
+    missing = [name for name in required if name not in found]
+    if missing:
+        fail(f"{path}: {names[root]} span {root} lacks child spans {missing}")
 
 
 def validate_metrics(path: Path) -> int:

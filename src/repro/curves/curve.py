@@ -303,25 +303,26 @@ class PiecewiseLinearCurve:
     def _extremum(self, other, op, *, pick_max: bool) -> "PiecewiseLinearCurve":
         if not isinstance(other, PiecewiseLinearCurve):
             raise ValidationError("operand must be a PiecewiseLinearCurve")
-        xs = set(np.union1d(self._x, other._x).tolist())
-        # add interior crossing points of each pair of overlapping segments
-        grid = np.array(sorted(xs))
-        for a, b in zip(grid[:-1], grid[1:]):
-            cross = _segment_crossing(self, other, a, b)
-            if cross is not None:
-                xs.add(cross)
+        grid = np.union1d(self._x, other._x)
+        # both curves are linear on every cell [a, b) of the union grid, so
+        # each cell holds at most one interior crossing
+        f_grid, g_grid = self(grid), other(grid)
+        sf, sg = self._slope_at(grid), other._slope_at(grid)
+        a, b = grid[:-1], grid[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = a + (g_grid[:-1] - f_grid[:-1]) / (sf[:-1] - sg[:-1])
+        crossings = t[(sf[:-1] != sg[:-1]) & (a < t) & (t < b)]
         # crossing beyond the last breakpoint
-        last = grid[-1]
-        fa, ga = self(last), other(last)
-        sf, sg = self.final_slope, other.final_slope
-        if (fa - ga) * (sf - sg) < 0:
-            cross = last + (ga - fa) / (sf - sg)
+        last, fa, ga = grid[-1], f_grid[-1], g_grid[-1]
+        tail = []
+        if (fa - ga) * (sf[-1] - sg[-1]) < 0:
+            cross = last + (ga - fa) / (sf[-1] - sg[-1])
             if cross > last:
-                xs.add(float(cross))
-        xall = np.array(sorted(xs))
-        yall = op(self(xall), other(xall))
-        # slope at each breakpoint: slope of the winning curve just after it
+                tail.append(cross)
+        xall = np.unique(np.concatenate((grid, crossings, tail)))
         f_vals, g_vals = self(xall), other(xall)
+        yall = op(f_vals, g_vals)
+        # slope at each breakpoint: slope of the winning curve just after it
         f_slopes, g_slopes = self._slope_at(xall), other._slope_at(xall)
         # ties must be detected with a *tight* tolerance: a loose absolute
         # tolerance (np.isclose's default 1e-8) classifies genuinely distinct
@@ -339,20 +340,31 @@ class PiecewiseLinearCurve:
         return PiecewiseLinearCurve(xall, yall, slopes).simplified()
 
     def simplified(self) -> "PiecewiseLinearCurve":
-        """Merge collinear adjacent segments (no value change anywhere)."""
+        """Merge collinear adjacent segments (no value change anywhere).
+
+        Each breakpoint is compared against the last *kept* one: it is
+        dropped when it lies on the kept segment's line and continues with
+        its slope, both within 1e-12.  The unbounded last segment merges
+        only into a bit-equal slope, so the asymptotic rate is preserved
+        exactly.
+        """
+        xs, ys, ss = self._x.tolist(), self._y.tolist(), self._s.tolist()
+        last = len(xs) - 1
         keep = [0]
-        for i in range(1, self._x.size):
-            px, py, ps = self._x[keep[-1]], self._y[keep[-1]], self._s[keep[-1]]
-            expected = py + ps * (self._x[i] - px)
+        px, py, ps = xs[0], ys[0], ss[0]
+        for i in range(1, last + 1):
+            expected = py + ps * (xs[i] - px)
+            # the np.isclose(rtol=1e-12, atol=1e-12) test on Python floats;
             # slopes must match in *relative* terms: an absolute tolerance
             # would be amplified by the segment span into a value error the
             # constructor's monotonicity check rejects (e.g. merging slopes
             # 1e-12 and 0 over a span of 3 manufactures a downward jump)
-            if np.isclose(expected, self._y[i], rtol=1e-12, atol=1e-12) and np.isclose(
-                ps, self._s[i], rtol=1e-12, atol=0.0
+            if abs(expected - ys[i]) <= 1e-12 + 1e-12 * abs(ys[i]) and (
+                ps == ss[i] if i == last else abs(ps - ss[i]) <= 1e-12 * abs(ss[i])
             ):
                 continue
             keep.append(i)
+            px, py, ps = xs[i], ys[i], ss[i]
         if len(keep) == self._x.size:
             return self
         idx = np.array(keep)
@@ -430,21 +442,6 @@ def _stamp(out: PiecewiseLinearCurve, shape: str) -> PiecewiseLinearCurve:
     if out.shape == "general":
         out._shape = shape
     return out
-
-
-def _segment_crossing(
-    f: PiecewiseLinearCurve, g: PiecewiseLinearCurve, a: float, b: float
-) -> float | None:
-    """Interior point in (a, b) where the (linear there) curves cross."""
-    fa, ga = f(a), g(a)
-    sf = float(f._slope_at(np.array([a]))[0])
-    sg = float(g._slope_at(np.array([a]))[0])
-    if sf == sg:
-        return None
-    t = a + (ga - fa) / (sf - sg)
-    if a < t < b:
-        return float(t)
-    return None
 
 
 def zero_curve() -> PiecewiseLinearCurve:

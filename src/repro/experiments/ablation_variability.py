@@ -13,7 +13,12 @@ from repro.analysis.frequency import minimum_frequency_curves, minimum_frequency
 from repro.core.operations import envelope_upper
 from repro.core.workload import WorkloadCurve
 from repro.curves.arrival import from_trace_upper
-from repro.experiments.common import BUFFER_ONE_FRAME, ExperimentResult, harnessed
+from repro.experiments.common import (
+    BUFFER_ONE_FRAME,
+    ExperimentResult,
+    alpha_max,
+    harnessed,
+)
 from repro.mpeg.clips import CLIP_PROFILES
 from repro.mpeg.bitstream import SyntheticClip
 from repro.mpeg.demand import IDCT_MC_MODEL, StageDemandModel
@@ -51,6 +56,7 @@ def run(
         title="Ablation: frequency saving vs demand variability",
     )
     rows = []
+    alpha = None
     for stall in stall_levels:
         model = _model_with_stalls(stall)
         gammas = []
@@ -61,17 +67,19 @@ def run(
             data = clip.generate()
             grid = make_k_grid(data.pe2_cycles.size, dense_limit=1024, growth=1.04)
             gammas.append(WorkloadCurve.from_demand_array(data.pe2_cycles, "upper", k_values=grid))
-            alphas.append(
-                from_trace_upper(
-                    data.pe1_output,
-                    n_values=make_k_grid(data.pe1_output.size, dense_limit=1024, growth=1.04),
+            if alpha is None:
+                # PE1's output times do not depend on the PE2 demand model,
+                # so every stall level shares the first level's envelope
+                alphas.append(
+                    from_trace_upper(
+                        data.pe1_output,
+                        n_values=make_k_grid(data.pe1_output.size, dense_limit=1024, growth=1.04),
+                    )
                 )
-            )
             means.append(float(data.pe2_cycles.mean()))
+        if alpha is None:
+            alpha = alpha_max(alphas)
         gamma_u = envelope_upper(gammas)
-        alpha = alphas[0]
-        for a in alphas[1:]:
-            alpha = alpha.maximum(a)
         wcet = max(g.per_activation_bound for g in gammas)
         ratio = wcet / (sum(means) / len(means))
         fg = minimum_frequency_curves(alpha, gamma_u, BUFFER_ONE_FRAME)

@@ -5,9 +5,9 @@ straight from the paper's definitions with plain Python loops and no
 shared code with the fast paths.  They exist solely as oracles: the
 differential test suite (``tests/reference/``) checks the memoized /
 vectorized kernels in :mod:`repro.curves.minplus`,
-:mod:`repro.util.staircase`, and :mod:`repro.core.workload` against these
-on hundreds of randomized and degenerate inputs, with the kernel cache
-both on and off.
+:mod:`repro.util.staircase`, :mod:`repro.core.workload` and
+:mod:`repro.scheduling.rms` against these on hundreds of randomized and
+degenerate inputs, with the kernel cache both on and off.
 
 Never call these from production code paths.
 """
@@ -25,6 +25,7 @@ from repro.reference.minplus import (
     is_concave_brute,
     is_convex_brute,
 )
+from repro.reference.scheduling import rms_test_brute
 
 __all__ = [
     "convolve_at_brute",
@@ -36,4 +37,5 @@ __all__ = [
     "workload_values_brute",
     "workload_eval_brute",
     "pseudo_inverse_brute",
+    "rms_test_brute",
 ]

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.scheduling.task import TaskSet
 from repro.util.validation import ValidationError
 
@@ -122,26 +124,36 @@ def cumulative_demand_curves(task_set: TaskSet, i: int, t: float) -> float:
     )
 
 
-def _rms_test(task_set: TaskSet, demand, method: str) -> RMSAnalysis:
+def _rms_test(task_set: TaskSet, method: str) -> RMSAnalysis:
+    """Evaluate ``W_i(t)/t`` at all of task *i*'s scheduling points in one
+    array pass per task.  The per-point floats are those of the scalar
+    definitions above — the same ``⌈t/T_j⌉`` guard, the same demand term,
+    terms summed over ``j = 0..i`` in order — so the loads and critical
+    points are bit-identical to a point-by-point scan
+    (:func:`repro.reference.rms_test_brute`)."""
+    use_curves = method == "workload-curves"
     loads: list[float] = []
     crits: list[float] = []
     for i in range(len(task_set)):
-        best = math.inf
-        best_t = task_set[i].period
-        for t in scheduling_points(task_set, i):
-            ratio = demand(task_set, i, t) / t
-            if ratio < best:
-                best = ratio
-                best_t = t
-        loads.append(best)
-        crits.append(best_t)
+        t = np.array(scheduling_points(task_set, i))
+        demand = np.zeros(t.size)
+        for task in task_set.tasks[: i + 1]:
+            arrivals = np.maximum(1.0, np.ceil(t / task.period - 1e-9))
+            if use_curves and task.curves is not None:
+                demand = demand + task.curves.upper(arrivals)
+            else:
+                demand = demand + task.wcet * arrivals
+        ratio = demand / t
+        best = int(np.argmin(ratio))  # the first minimum, as a scan keeps it
+        loads.append(float(ratio[best]))
+        crits.append(float(t[best]))
     return RMSAnalysis(tuple(loads), tuple(crits), method)
 
 
 def rms_test_classic(task_set: TaskSet) -> RMSAnalysis:
     """Lehoczky's exact test with the WCET-only characterization
     (paper eq. (3))."""
-    return _rms_test(task_set, cumulative_demand_classic, "classic")
+    return _rms_test(task_set, "classic")
 
 
 def rms_test_curves(task_set: TaskSet) -> RMSAnalysis:
@@ -152,7 +164,7 @@ def rms_test_curves(task_set: TaskSet) -> RMSAnalysis:
     here, and sets with heavy demand variability may become schedulable
     only here.
     """
-    return _rms_test(task_set, cumulative_demand_curves, "workload-curves")
+    return _rms_test(task_set, "workload-curves")
 
 
 def liu_layland_bound(n: int) -> float:

@@ -99,3 +99,18 @@ class TestChainShift:
         # an ulp, so the comparison is close, not exact
         pts = np.linspace(0.0, float(f.breakpoints[-1]) + 4.0, 50)
         np.testing.assert_allclose(out(pts), f(pts + delay), rtol=1e-9, atol=1e-9)
+
+    def test_delay_shift_keeps_final_slope_one_ulp_off(self):
+        """Regression: a concave f whose middle slope is one ulp above its
+        final slope 0.01, shifted by 1.0 — the shift's re-simplification
+        merged the tail into the middle piece and raised the final slope."""
+        from repro.analysis.chain import _shift_time
+        from repro.curves.curve import PiecewiseLinearCurve
+
+        slopes = np.array([1.0, 0.010000000000000002, 0.01])
+        xs = np.array([0.0, 0.5, 2.0])
+        ys = np.cumsum(np.concatenate(([0.0], np.diff(xs) * slopes[:-1])))
+        f = PiecewiseLinearCurve(xs, ys, slopes)
+        out = _shift_time(f, 1.0)
+        assert out.final_slope == f.final_slope == 0.01
+        assert is_concave_brute(out)
