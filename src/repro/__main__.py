@@ -142,27 +142,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="base seed for deterministic per-task reseeding of the global "
         "RNGs in every worker (default: no reseeding)",
     )
-    parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="min-plus kernel backend for the generic curve algebra "
-        "(numpy or soa; see docs/performance.md); "
-        "worker processes inherit the choice",
-    )
-
-
-def _apply_backend(args: argparse.Namespace, parser) -> None:
-    """Activate ``--backend`` early: validates the name, routes the
-    in-process curve algebra, and exports the choice for workers."""
-    if args.backend:
-        from repro.perf import configure
-        from repro.util.validation import ValidationError
-
-        try:
-            configure(backend=args.backend)
-        except ValidationError as exc:
-            parser.error(str(exc))
 
 
 def _export_obs(args: argparse.Namespace) -> None:
@@ -255,7 +234,6 @@ def _experiments_main(argv: list[str]) -> int:
         parser.error(f"unknown experiment ids: {', '.join(unknown)} (known: {ids})")
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    _apply_backend(args, parser)
 
     if args.trace:
         tracer.enable()
@@ -273,8 +251,6 @@ def _experiments_main(argv: list[str]) -> int:
             kwargs["compact_error"] = args.compact_error
         if args.bisect and _accepts(run, "bisect"):
             kwargs["bisect"] = True
-        if args.backend and _accepts(run, "backend"):
-            kwargs["backend"] = args.backend
         return kwargs
 
     failures: list[str] = []
@@ -325,7 +301,6 @@ def _experiments_main(argv: list[str]) -> int:
                     "compact_error": args.compact_error,
                     "bisect": args.bisect,
                     "seed": args.seed,
-                    "backend": args.backend,
                 },
                 wall_time_s=time.perf_counter() - t0,
                 metrics=registry.snapshot(),
@@ -432,7 +407,6 @@ def _sweep_main(argv: list[str]) -> int:
         parser.error("--buffers must name at least one FIFO size")
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    _apply_backend(args, parser)
 
     if args.trace:
         tracer.enable()
@@ -459,7 +433,6 @@ def _sweep_main(argv: list[str]) -> int:
                     "stream_chunk": args.stream_chunk,
                     "max_segments": args.max_segments,
                     "compact_error": args.compact_error,
-                    "backend": args.backend,
                     "bisect": args.bisect,
                     "sim_validate": args.sim_validate,
                     "sim_items": args.sim_items,
@@ -533,7 +506,6 @@ def _sweep_main(argv: list[str]) -> int:
                 "max_segments": args.max_segments,
                 "compact_error": args.compact_error,
                 "bisect": args.bisect,
-                "backend": args.backend,
                 "parallel": args.parallel,
                 "seed": args.seed,
                 "sim_validate": args.sim_validate,
@@ -569,7 +541,6 @@ def _sweep_via_service(args: argparse.Namespace, buffers: list[int]) -> list:
         "stream_chunk": args.stream_chunk,
         "max_segments": args.max_segments,
         "compact_error": args.compact_error,
-        "backend": args.backend,
         "bisect": args.bisect,
         "sim_validate": args.sim_validate,
         "sim_items": args.sim_items,

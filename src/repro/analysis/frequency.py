@@ -233,23 +233,16 @@ class FrequencySweepEvaluator:
         wcet: float | None = None,
         max_segments: int | None = None,
         max_error: float | None = None,
-        backend: str | None = None,
     ):
         if gamma_u.kind != "upper":
             raise ValidationError("frequency bound needs an upper workload curve")
-        from repro.curves.backends import use_backend
-
-        #: Min-plus kernel backend the evaluator's curve algebra runs
-        #: under (``None`` inherits the process-wide active backend).
-        self.backend = backend
         self.compaction = None
         if max_segments is not None or max_error is not None:
             from repro.curves.compact import compact_upper
 
-            with use_backend(backend):
-                self.compaction = compact_upper(
-                    alpha_events, max_segments=max_segments, max_error=max_error
-                )
+            self.compaction = compact_upper(
+                alpha_events, max_segments=max_segments, max_error=max_error
+            )
             alpha_events = self.compaction.curve
         self.alpha = alpha_events
         self.gamma_u = gamma_u
@@ -319,16 +312,14 @@ class FrequencySweepEvaluator:
         reused for every frequency of the sweep.
         """
         from repro.analysis.backlog import backlog_bound_events, candidate_deltas
-        from repro.curves.backends import use_backend
         from repro.curves.service import rate_latency
 
         beta = rate_latency(float(frequency), 0.0)
-        with use_backend(self.backend):
-            if self._backlog_deltas is None:
-                self._backlog_deltas = candidate_deltas(self.alpha, beta)
-            return backlog_bound_events(
-                self.alpha, beta, self.gamma_u, deltas=self._backlog_deltas
-            )
+        if self._backlog_deltas is None:
+            self._backlog_deltas = candidate_deltas(self.alpha, beta)
+        return backlog_bound_events(
+            self.alpha, beta, self.gamma_u, deltas=self._backlog_deltas
+        )
 
     @instrumented("frequency.bisect")
     def bisect(

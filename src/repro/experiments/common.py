@@ -347,7 +347,6 @@ def sweep_frequency_evaluator(
     stream_chunk: int | None = None,
     max_segments: int | None = None,
     compact_error: float | None = None,
-    backend: str | None = None,
 ):
     """Warm-started frequency evaluator over the cached case-study context.
 
@@ -357,11 +356,8 @@ def sweep_frequency_evaluator(
     conservative arrival compaction (*max_segments*/*compact_error* — see
     :func:`repro.curves.compact.compact_upper`), and the per-buffer
     ``γ^u`` demand tables are computed once and shared by every sweep
-    point the worker evaluates.  *backend* pins the min-plus kernel
-    backend the evaluator's curve algebra runs under (see
-    :mod:`repro.curves.backends`; ``None`` inherits the process-wide
-    choice).  Without compaction knobs the evaluator reproduces the exact
-    per-point computation bit-identically.
+    point the worker evaluates.  Without compaction knobs the evaluator
+    reproduces the exact per-point computation bit-identically.
     """
     from repro.analysis.frequency import FrequencySweepEvaluator
 
@@ -378,7 +374,6 @@ def sweep_frequency_evaluator(
             wcet=ctx.wcet,
             max_segments=max_segments,
             max_error=compact_error,
-            backend=backend,
         )
 
     evaluator = _evaluator_pool().get(
@@ -389,7 +384,6 @@ def sweep_frequency_evaluator(
         stream_chunk=stream_chunk,
         max_segments=max_segments,
         compact_error=compact_error,
-        backend=backend,
     )
     # (re-)record the context input on pool hits too, so manifests of
     # warm points still carry the clip-trace digest — the context cache

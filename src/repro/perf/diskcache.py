@@ -298,7 +298,7 @@ class DiskCache:
         this handle's shard count (a store written with more shards).
         Every ``.pkl`` found there is moved to its home path with
         ``os.replace`` — a concurrent writer of the same key wins
-        harmlessly, a concurrent migrator simply finds the file gone.
+        harmlessly, a concurrent migrator finds the file or its source gone.
         """
         sources: list[Path] = []
         try:
@@ -319,7 +319,12 @@ class DiskCache:
                     sources.append(child)
         moved = 0
         for source in sources:
-            for path in source.glob("*.pkl" if _is_legacy_fanout(source.name) else "*/*.pkl"):
+            pattern = "*.pkl" if _is_legacy_fanout(source.name) else "*/*.pkl"
+            try:  # a concurrent migrator may have drained and removed it
+                paths = list(source.glob(pattern))
+            except OSError:
+                continue
+            for path in paths:
                 home = self._path_for(path.stem)
                 if home == path:
                     continue
@@ -333,17 +338,17 @@ class DiskCache:
         self.migrated = moved
 
     def _prune_empty(self, directory: Path) -> None:
-        """Best-effort removal of a drained source directory tree."""
-        for sub in directory.glob("*"):
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
+        """Best-effort removal of a drained source directory tree (a
+        concurrent migrator may have removed it already)."""
         try:
-            directory.rmdir()
+            subs = [sub for sub in directory.glob("*") if sub.is_dir()]
         except OSError:
-            pass
+            return
+        for empty in subs + [directory]:
+            try:
+                empty.rmdir()
+            except OSError:
+                pass
 
     # -- management -------------------------------------------------------------
     def clear(self) -> None:

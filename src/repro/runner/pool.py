@@ -11,11 +11,13 @@
   parent-side deadline as a backstop against workers stuck in
   uninterruptible code;
 * **bounded retry with backoff** — failed or timed-out items are
-  resubmitted up to ``retries`` times, with exponentially growing sleeps
-  between waves;
-* **graceful degradation** — ``max_workers=1``, a missing ``fork``/spawn
-  capability, or a pool that fails to start all fall back to an in-process
-  serial loop with identical semantics and result shape;
+  resubmitted in waves up to ``retries`` times, with exponentially
+  growing sleeps between waves (:func:`backoff_delay`); a
+  :class:`~repro.util.validation.ValidationError` is a deterministic
+  input error and is never retried;
+* **graceful degradation** — ``max_workers=1`` or a pool that fails to
+  start run the same waves in-process, with identical semantics and
+  result shape;
 * **observability merging** — each worker collects spans and metrics into
   its own process-local collectors; the parent ingests child trace records
   (id-remapped, re-parented, timeline-aligned) and folds child metrics
@@ -24,9 +26,12 @@
 * **deterministic seeding** — every task runs after a reseed of the
   ``random`` and ``numpy`` global generators with a seed derived from
   ``(base seed, task index)`` by the shared helper in
-  :mod:`repro.util.seeding` (also used by :mod:`repro.service`),
-  identically in the serial and parallel paths, so a 4-worker run is
-  bit-identical to a serial one.
+  :mod:`repro.util.seeding`, identically in the serial and parallel
+  paths, so a 4-worker run is bit-identical to a serial one.
+
+Every attempt, here and in the analysis service (:mod:`repro.service`),
+runs through :func:`run_attempt`, and both build their worker pools with
+:func:`process_pool`, so the two layers share one execution policy.
 
 The function and items must be picklable (define task functions at module
 level — see :mod:`repro.runner.tasks` for the stock ones).
@@ -35,20 +40,22 @@ level — see :mod:`repro.runner.tasks` for the stock ones).
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
-
-import multiprocessing
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import registry
 from repro.obs.tracing import tracer
 from repro.util.seeding import derive_seed, reseed as _reseed
+from repro.util.validation import ValidationError
 
 __all__ = [
     "TaskResult",
@@ -57,13 +64,17 @@ __all__ = [
     "TaskTimeout",
     "run_many",
     "sweep",
+    "run_attempt",
+    "failed_attempt",
+    "backoff_delay",
+    "process_pool",
     "derive_seed",
 ]
 
 #: Parent-side backstop slack added on top of ``timeout_s`` per chunk item.
 _BACKSTOP_SLACK_S = 30.0
 
-#: Cap on a single retry-wave backoff sleep.
+#: Cap on a single retry backoff sleep.
 _MAX_BACKOFF_S = 30.0
 
 
@@ -126,51 +137,102 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# one attempt, one backoff schedule, one pool factory
 # ---------------------------------------------------------------------------
 
-def _worker_init(
-    cache_dir: str | None, disk_max_bytes: int | None, disk_shards: int | None
-) -> None:
-    """Process-pool initializer: attach the persistent kernel cache so
-    every worker shares warm results through the filesystem."""
+@contextmanager
+def _alarm_guard(seconds: float | None):
+    """Arm a SIGALRM interval timer that raises :class:`TaskTimeout`;
+    degrades to no enforcement off the main thread or on platforms
+    without SIGALRM."""
+    if (
+        seconds is None
+        or seconds <= 0
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def _on_alarm(signum, frame):
+        raise TaskTimeout(f"task exceeded {seconds:g}s")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failed_attempt(exc: BaseException, duration: float = 0.0) -> dict[str, Any]:
+    """The outcome record of an attempt that raised *exc*; only a
+    ``ValidationError`` (a deterministic input error) is not retryable."""
+    return {
+        "ok": False,
+        "error": str(exc) or type(exc).__name__,
+        "error_type": type(exc).__name__,
+        "retryable": not isinstance(exc, ValidationError),
+        "duration": duration,
+    }
+
+
+def run_attempt(
+    fn: Callable[..., Any], args: tuple, seed: int | None, timeout_s: float | None
+) -> dict[str, Any]:
+    """Execute one attempt of ``fn(*args)`` in this process; the runner
+    and the analysis service run every attempt through here.
+
+    Reseeds the global RNGs with *seed* (None leaves them alone), calls
+    ``fn(*args)`` under a SIGALRM budget of *timeout_s* (enforced on the
+    main thread, where pool workers run it) and times the call.  Returns
+    ``{"ok": True, "value", "duration"}`` or the :func:`failed_attempt`
+    record of the exception (a blown budget is a ``TaskTimeout``).
+    """
+    _reseed(seed)
+    t0 = time.perf_counter()
+    try:
+        with _alarm_guard(timeout_s):
+            value = fn(*args)
+    except Exception as exc:
+        return failed_attempt(exc, time.perf_counter() - t0)
+    return {"ok": True, "value": value, "duration": time.perf_counter() - t0}
+
+
+def backoff_delay(base_s: float, retry: int) -> float:
+    """Sleep before retry number *retry* (1-based): ``base_s * 2**(retry-1)``,
+    capped at 30 s."""
+    return min(base_s * 2 ** (retry - 1), _MAX_BACKOFF_S)
+
+
+def process_pool(
+    workers: int, cache_dir: str | None = None, shards: int | None = None
+) -> ProcessPoolExecutor | None:
+    """A pool of *workers* processes (``fork`` where the platform has it,
+    ``spawn`` otherwise) that attach the disk cache at *cache_dir* with
+    *shards* shards on start, so every worker shares warm kernel results
+    through the filesystem; None when the pool cannot be built."""
+    initializer = None
     if cache_dir:
         from repro.perf.cache import attach_disk_cache
 
-        attach_disk_cache(cache_dir, max_bytes=disk_max_bytes, shards=disk_shards)
-
-
-def _alarm_guard(seconds: float | None):
-    """Context manager arming a SIGALRM interval timer that raises
-    :class:`TaskTimeout`; degrades to no enforcement off the main thread
-    or on platforms without SIGALRM."""
-    from contextlib import contextmanager
-
-    @contextmanager
-    def guard():
-        usable = (
-            seconds is not None
-            and seconds > 0
-            and hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()
+        initializer = partial(attach_disk_cache, cache_dir, shards=shards)
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    try:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=initializer,
         )
-        if not usable:
-            yield
-            return
+    except (OSError, ValueError):
+        # e.g. no /dev/shm semaphores in a locked-down sandbox
+        return None
 
-        def _on_alarm(signum, frame):
-            raise TaskTimeout(f"task exceeded {seconds:g}s")
 
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-    return guard()
-
+# ---------------------------------------------------------------------------
+# worker side
+# ---------------------------------------------------------------------------
 
 def _reset_child_collectors() -> None:
     """Zero the worker's metric state so each chunk snapshot is a delta."""
@@ -198,31 +260,10 @@ def _run_chunk(
         tracer.reset()
         tracer.enable()
     _reset_child_collectors()
-    outcomes = []
-    for index, item, task_seed in tasks:
-        _reseed(task_seed)
-        t0 = time.perf_counter()
-        try:
-            with _alarm_guard(timeout_s):
-                value = fn(item)
-            outcomes.append(
-                {
-                    "index": index,
-                    "ok": True,
-                    "value": value,
-                    "duration": time.perf_counter() - t0,
-                }
-            )
-        except Exception as exc:
-            outcomes.append(
-                {
-                    "index": index,
-                    "ok": False,
-                    "error": str(exc) or type(exc).__name__,
-                    "error_type": type(exc).__name__,
-                    "duration": time.perf_counter() - t0,
-                }
-            )
+    outcomes = [
+        {"index": index, **run_attempt(fn, (item,), task_seed, timeout_s)}
+        for index, item, task_seed in tasks
+    ]
     payload = {
         "results": outcomes,
         "pid": os.getpid(),
@@ -240,11 +281,6 @@ def _run_chunk(
 # parent side
 # ---------------------------------------------------------------------------
 
-def _chunked(seq: Sequence[Any], size: int) -> list[list[Any]]:
-    """Split *seq* into contiguous chunks of at most *size* items."""
-    return [list(seq[i : i + size]) for i in range(0, len(seq), size)]
-
-
 def _merge_chunk_obs(payload: dict[str, Any], submitted_at: float) -> None:
     """Fold one chunk's trace records and metrics into the parent."""
     if payload["trace"]:
@@ -260,54 +296,6 @@ def _merge_chunk_obs(payload: dict[str, Any], submitted_at: float) -> None:
         registry.counter("runner.metrics_merge_failures").inc()
 
 
-def _pick_context(start_method: str | None):
-    """The multiprocessing context to use, or None if none is usable."""
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        return multiprocessing.get_context(start_method) if start_method in methods else None
-    for preferred in ("fork", "forkserver", "spawn"):
-        if preferred in methods:
-            return multiprocessing.get_context(preferred)
-    return None
-
-
-def _run_serial(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    timeout_s: float | None,
-    retries: int,
-    backoff_s: float,
-    seed: int | None,
-) -> list[TaskResult]:
-    """In-process fallback with identical retry/timeout/seeding semantics."""
-    results = []
-    for index, item in enumerate(items):
-        result = TaskResult(index=index, worker=os.getpid())
-        for attempt in range(retries + 1):
-            if attempt:
-                time.sleep(min(backoff_s * 2 ** (attempt - 1), _MAX_BACKOFF_S))
-                registry.counter("runner.tasks.retried").inc()
-            result.attempts = attempt + 1
-            _reseed(derive_seed(seed, index))
-            t0 = time.perf_counter()
-            try:
-                with _alarm_guard(timeout_s):
-                    result.value = fn(item)
-                result.error = result.error_type = None
-                result.duration_s = time.perf_counter() - t0
-                break
-            except Exception as exc:
-                result.duration_s = time.perf_counter() - t0
-                result.error = str(exc) or type(exc).__name__
-                result.error_type = type(exc).__name__
-        registry.counter(
-            "runner.tasks.completed" if result.ok else "runner.tasks.failed"
-        ).inc()
-        results.append(result)
-    return results
-
-
 def run_many(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
@@ -318,24 +306,21 @@ def run_many(
     backoff_s: float = 0.25,
     chunk_size: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    disk_max_bytes: int | None = None,
-    disk_shards: int | None = None,
     seed: int | None = None,
-    start_method: str | None = None,
 ) -> list[TaskResult]:
     """Run ``fn(item)`` for every item, fanned out over worker processes.
 
     Returns one :class:`TaskResult` per item, in item order.  With
-    ``max_workers=1`` (the default) or when no multiprocessing start
-    method is usable, everything runs serially in-process — same
-    semantics, no pickling requirement.
+    ``max_workers=1`` (the default) or when no process pool can be
+    started, every attempt runs in-process — same waves, same semantics,
+    no pickling requirement.
 
     ``cache_dir`` attaches the persistent kernel cache in the parent *and*
     in every worker, so min-plus results computed by any process are
     shared with all others and with future runs.  ``seed`` drives the
     deterministic per-task reseed (None disables reseeding).  ``retries``
-    bounds resubmission of failed/timed-out items, with exponential
-    ``backoff_s`` sleeps between waves.
+    bounds resubmission of failed/timed-out items (a ``ValidationError``
+    is never retried), with :func:`backoff_delay` sleeps between waves.
     """
     items = list(items)
     if retries < 0:
@@ -343,158 +328,142 @@ def run_many(
     if cache_dir is not None:
         from repro.perf.cache import attach_disk_cache
 
-        attach_disk_cache(cache_dir, max_bytes=disk_max_bytes, shards=disk_shards)
+        attach_disk_cache(cache_dir)
         cache_dir = str(cache_dir)
     if not items:
         return []
 
     workers = max(1, min(int(max_workers), len(items)))
-    context = _pick_context(start_method) if workers > 1 else None
     registry.gauge("runner.workers").set_max(workers)
-
-    if workers == 1 or context is None:
-        with tracer.span("runner.run_many", tasks=len(items), workers=1, mode="serial"):
-            return _run_serial(
-                fn,
-                items,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                seed=seed,
-            )
-
     if chunk_size is None:
         chunk_size = max(1, -(-len(items) // (workers * 4)))
     chunk_size = max(1, int(chunk_size))
-
-    results = {
-        i: TaskResult(index=i, error="not run", error_type="RunnerError")
-        for i in range(len(items))
-    }
-    attempts = dict.fromkeys(range(len(items)), 0)
-    pending = list(range(len(items)))
-    wave = 0
-
-    collect_trace = tracer.enabled
-    backstop = (
+    deadline = (
         None
         if timeout_s is None
-        else lambda n: timeout_s * n * (retries + 1) + _BACKSTOP_SLACK_S
+        else timeout_s * chunk_size * (retries + 1) + _BACKSTOP_SLACK_S
     )
+    collect_trace = tracer.enabled
+    executor = process_pool(workers, cache_dir) if workers > 1 else None
+    if executor is None and workers > 1:
+        registry.counter("runner.pool_fallbacks").inc()
+        workers = 1
 
-    def make_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(cache_dir, disk_max_bytes, disk_shards),
-        )
+    results = [
+        TaskResult(index=i, error="not run", error_type="RunnerError")
+        for i in range(len(items))
+    ]
+    attempts = [0] * len(items)
+    retry: list[int] = []
 
-    with tracer.span(
-        "runner.run_many", tasks=len(items), workers=workers, mode="parallel"
-    ):
-        try:
-            executor = make_executor()
-        except (OSError, ValueError):
-            # e.g. no /dev/shm semaphores in a locked-down sandbox
-            registry.counter("runner.pool_fallbacks").inc()
-            return _run_serial(
-                fn,
-                items,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                seed=seed,
+    def record(index: int, outcome: dict[str, Any], worker: int) -> None:
+        result = results[index]
+        result.attempts = attempts[index]
+        result.duration_s = outcome["duration"]
+        result.worker = worker
+        if outcome["ok"]:
+            result.value = outcome["value"]
+            result.error = result.error_type = None
+            return
+        result.error = outcome["error"]
+        result.error_type = outcome["error_type"]
+        if result.error_type == "TaskTimeout":
+            registry.counter("runner.tasks.timeouts").inc()
+        if outcome["retryable"]:
+            retry.append(index)
+
+    def fail_chunk(chunk: list[tuple], error: str, error_type: str) -> None:
+        for index, _, _ in chunk:
+            results[index].error = error
+            results[index].error_type = error_type
+            results[index].attempts = attempts[index]
+            retry.append(index)
+
+    def restart(broken: ProcessPoolExecutor) -> None:
+        # every chunk of a broken pool fails: replace the pool only once
+        nonlocal executor
+        if broken is executor:
+            registry.counter("runner.pool_restarts").inc()
+            broken.shutdown(wait=False, cancel_futures=True)
+            executor = process_pool(workers, cache_dir)
+            if executor is None:
+                registry.counter("runner.pool_fallbacks").inc()
+
+    def pool_wave(tasks: list[tuple]) -> None:
+        wave_executor = executor
+        futures = {}
+        for start in range(0, len(tasks), chunk_size):
+            chunk = tasks[start : start + chunk_size]
+            registry.counter("runner.chunks").inc()
+            try:
+                future = wave_executor.submit(
+                    _run_chunk, fn, chunk, timeout_s, collect_trace
+                )
+            except BrokenProcessPool:  # a worker died during submission
+                fail_chunk(chunk, "worker process died", "BrokenProcessPool")
+                restart(wave_executor)
+                continue
+            futures[future] = (chunk, tracer.now())
+        not_done = set(futures)
+        while not_done:
+            done, not_done = wait(
+                not_done, timeout=deadline, return_when=FIRST_COMPLETED
             )
+            if not done:
+                # backstop tripped: the pool is wedged — abandon it
+                for future in not_done:
+                    fail_chunk(
+                        futures[future][0],
+                        f"chunk deadline exceeded ({deadline:.0f}s)",
+                        "TaskTimeout",
+                    )
+                restart(wave_executor)
+                return
+            for future in done:
+                chunk, submitted_at = futures[future]
+                try:
+                    payload = future.result()
+                except BrokenProcessPool:
+                    fail_chunk(chunk, "worker process died", "BrokenProcessPool")
+                    restart(wave_executor)
+                    continue
+                except Exception as exc:
+                    error = str(exc) or type(exc).__name__
+                    fail_chunk(chunk, error, type(exc).__name__)
+                    continue
+                _merge_chunk_obs(payload, submitted_at)
+                for outcome in payload["results"]:
+                    record(outcome["index"], outcome, payload["pid"])
+
+    pending = list(range(len(items)))
+    wave = 0
+    mode = "serial" if executor is None else "parallel"
+    with tracer.span("runner.run_many", tasks=len(items), workers=workers, mode=mode):
         try:
             while pending:
                 if wave:
-                    time.sleep(min(backoff_s * 2 ** (wave - 1), _MAX_BACKOFF_S))
+                    time.sleep(backoff_delay(backoff_s, wave))
                 for i in pending:
                     attempts[i] += 1
-                wave_attempt = {i: attempts[i] for i in pending}
-                chunks = _chunked(
-                    [(i, items[i], derive_seed(seed, i)) for i in pending],
-                    chunk_size,
-                )
-                futures = {}
-                for chunk in chunks:
-                    registry.counter("runner.chunks").inc()
-                    futures[
-                        executor.submit(_run_chunk, fn, chunk, timeout_s, collect_trace)
-                    ] = (chunk, tracer.now())
-                retry_candidates: list[int] = []
-                not_done = set(futures)
-                while not_done:
-                    deadline = backstop(chunk_size) if backstop else None
-                    done, not_done = wait(
-                        not_done, timeout=deadline, return_when=FIRST_COMPLETED
-                    )
-                    if not done:
-                        # backstop tripped: the pool is wedged — abandon it
-                        registry.counter("runner.pool_restarts").inc()
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        for future in not_done:
-                            chunk, _ = futures[future]
-                            for index, _, _ in chunk:
-                                results[index].error = (
-                                    f"chunk deadline exceeded ({deadline:.0f}s)"
-                                )
-                                results[index].error_type = "TaskTimeout"
-                                results[index].attempts = wave_attempt[index]
-                                retry_candidates.append(index)
-                        executor = make_executor()
-                        break
-                    for future in done:
-                        chunk, submitted_at = futures[future]
-                        try:
-                            payload = future.result()
-                        except BrokenProcessPool:
-                            registry.counter("runner.pool_restarts").inc()
-                            for index, _, _ in chunk:
-                                results[index].error = "worker process died"
-                                results[index].error_type = "BrokenProcessPool"
-                                results[index].attempts = wave_attempt[index]
-                                retry_candidates.append(index)
-                            executor.shutdown(wait=False, cancel_futures=True)
-                            executor = make_executor()
-                            continue
-                        except Exception as exc:
-                            for index, _, _ in chunk:
-                                results[index].error = str(exc) or type(exc).__name__
-                                results[index].error_type = type(exc).__name__
-                                results[index].attempts = wave_attempt[index]
-                                retry_candidates.append(index)
-                            continue
-                        _merge_chunk_obs(payload, submitted_at)
-                        for outcome in payload["results"]:
-                            index = outcome["index"]
-                            result = results[index]
-                            result.attempts = wave_attempt[index]
-                            result.duration_s = outcome["duration"]
-                            result.worker = payload["pid"]
-                            if outcome["ok"]:
-                                result.value = outcome["value"]
-                                result.error = result.error_type = None
-                            else:
-                                result.error = outcome["error"]
-                                result.error_type = outcome["error_type"]
-                                if outcome["error_type"] == "TaskTimeout":
-                                    registry.counter("runner.tasks.timeouts").inc()
-                                retry_candidates.append(index)
-                pending = sorted(
-                    i for i in set(retry_candidates) if attempts[i] <= retries
-                )
+                tasks = [(i, items[i], derive_seed(seed, i)) for i in pending]
+                if executor is None:
+                    for index, item, task_seed in tasks:
+                        outcome = run_attempt(fn, (item,), task_seed, timeout_s)
+                        record(index, outcome, os.getpid())
+                else:
+                    pool_wave(tasks)
+                pending = sorted(i for i in set(retry) if attempts[i] <= retries)
+                retry.clear()
                 if pending:
                     registry.counter("runner.tasks.retried").inc(len(pending))
                 wave += 1
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
 
-    ordered = [results[i] for i in range(len(items))]
-    registry.counter("runner.tasks.completed").inc(sum(r.ok for r in ordered))
-    registry.counter("runner.tasks.failed").inc(sum(not r.ok for r in ordered))
-    return ordered
+    registry.counter("runner.tasks.completed").inc(sum(r.ok for r in results))
+    registry.counter("runner.tasks.failed").inc(sum(not r.ok for r in results))
+    return results
 
 
 def sweep(

@@ -54,7 +54,6 @@ def frequency_backlog_point(
     stream_chunk: int | None = None,
     max_segments: int | None = None,
     compact_error: float | None = None,
-    backend: str | None = None,
     bisect: bool = False,
     sim_validate: bool = False,
     sim_items: int = 4096,
@@ -76,11 +75,8 @@ def frequency_backlog_point(
     :mod:`repro.curves.compact`; bounds can only become more
     pessimistic), and *bisect* replaces the closed-form eq. (9) scan with
     the monotone feasibility bisection of
-    :meth:`repro.analysis.frequency.FrequencySweepEvaluator.bisect`, and
-    *backend* pins the min-plus kernel backend the point's curve algebra
-    runs under (recorded in the manifest like every other point
-    parameter; ``None`` inherits the process-wide choice).
-    All three ride the worker-cached
+    :meth:`repro.analysis.frequency.FrequencySweepEvaluator.bisect`.
+    Both ride the worker-cached
     :func:`~repro.experiments.common.sweep_frequency_evaluator`, so the
     candidate grid and the compacted operands are shared by every point
     the worker evaluates.  Harnessed: the returned result carries a
@@ -111,7 +107,6 @@ def frequency_backlog_point(
         stream_chunk: int | None,
         max_segments: int | None,
         compact_error: float | None,
-        backend: str | None,
         bisect: bool,
         sim_validate: bool,
         sim_items: int,
@@ -125,7 +120,6 @@ def frequency_backlog_point(
             stream_chunk=stream_chunk,
             max_segments=max_segments,
             compact_error=compact_error,
-            backend=backend,
         )
         if bisect:
             f_gamma = evaluator.bisect(buffer_size)
@@ -151,8 +145,6 @@ def frequency_backlog_point(
         }
         if f_gamma.method != "workload-curves":
             data["f_gamma_method"] = f_gamma.method
-        if evaluator.backend is not None:
-            data["backend"] = evaluator.backend
         if evaluator.compaction is not None:
             data["compaction_abs_error"] = evaluator.compaction.max_abs_error
             data["compaction_segments"] = evaluator.compaction.output_segments
@@ -187,7 +179,6 @@ def frequency_backlog_point(
         stream_chunk=stream_chunk,
         max_segments=max_segments,
         compact_error=compact_error,
-        backend=backend,
         bisect=bisect,
         sim_validate=sim_validate,
         sim_items=sim_items,

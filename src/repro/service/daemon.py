@@ -3,10 +3,10 @@
 The service owns three moving parts and wires them together:
 
 * a **bounded job queue** drained by asyncio worker tasks that run each
-  op on a CPU executor (``ProcessPoolExecutor`` when the platform
-  supports it, thread fallback otherwise — the same degradation ladder
-  as :func:`repro.runner.pool.run_many`), with per-job timeouts and the
-  runner's retry/backoff semantics (``backoff_s * 2**(wave-1)`` capped);
+  attempt through :func:`repro.runner.pool.run_attempt` on the runner's
+  :func:`~repro.runner.pool.process_pool` (threads where none can be
+  built), so a job's budget is enforced inside its worker, with the
+  runner's retry backoff between attempts;
 * a **self-characterizing admission controller**
   (:class:`repro.service.admission.AdmissionController`) metering every
   submission and rejecting by the paper's eq. (8) feasibility test when
@@ -38,22 +38,25 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.obs.metrics import registry
-from repro.runner.pool import _pick_context, _worker_init
+from repro.runner.pool import (
+    TaskTimeout,
+    backoff_delay,
+    failed_attempt,
+    process_pool,
+    run_attempt,
+)
 from repro.service import ops
 from repro.service.admission import AdmissionController
 from repro.service.jobs import Job
 from repro.util.seeding import derive_seed
-from repro.util.validation import ValidationError, check_integer
+from repro.util.validation import check_integer
 
 __all__ = ["AnalysisService", "ServiceClosed"]
-
-#: Backoff between retry attempts is capped here (matches the runner).
-_MAX_BACKOFF_S = 30.0
 
 #: Per-subscriber event queue bound; beyond it events are dropped.
 _SUBSCRIBER_QUEUE = 256
@@ -73,13 +76,14 @@ class AnalysisService:
     queue_limit:
         Bound of the job queue; submissions beyond it are **shed**.
     timeout_s:
-        Per-attempt wall-clock budget of one job (None = unbounded).
+        Per-attempt wall-clock budget of one job (None = unbounded); a
+        process worker is interrupted at it, a thread only abandoned.
     retries:
-        Extra attempts after a failure (timeouts are not retried — a
-        job that blew its budget once will blow it again).
+        Extra attempts after a failure (timeouts and validation errors
+        are never retried: they would fail the same way again).
     backoff_s:
         Base sleep before retry ``n`` is ``backoff_s * 2**(n-1)``,
-        capped at 30 s — the runner's wave-backoff schedule.
+        capped at 30 s (:func:`~repro.runner.pool.backoff_delay`).
     seed:
         Base seed; job ``i`` runs under ``derive_seed(seed, i)`` so
         results are independent of worker assignment and arrival order.
@@ -143,21 +147,13 @@ class AnalysisService:
         self.started_at = time.time()
 
     def _build_executor(self) -> Executor:
-        """A process pool when the platform has a usable start method,
-        a thread pool otherwise (counted as a fallback)."""
-        context = _pick_context(None)
-        if context is not None:
-            try:
-                return ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=(self.cache_dir, None, self.cache_shards),
-                )
-            except (OSError, ValueError):
-                pass
-        registry.counter("service.pool_fallbacks").inc()
-        return ThreadPoolExecutor(max_workers=self.workers)
+        """The runner's process pool, or a thread pool when none can be
+        built (counted as a fallback)."""
+        executor = process_pool(self.workers, self.cache_dir, self.cache_shards)
+        if executor is None:
+            registry.counter("service.pool_fallbacks").inc()
+            executor = ThreadPoolExecutor(max_workers=self.workers)
+        return executor
 
     async def drain(self, timeout_s: float | None = None) -> None:
         """Graceful shutdown: refuse new work, finish what is queued,
@@ -333,59 +329,58 @@ class AnalysisService:
                 registry.gauge("service.queue_depth").set(self._queue.qsize())
 
     async def _run_job(self, job: Job) -> None:
-        """Execute one job on the executor, retrying failed attempts."""
+        """Execute one job through :func:`run_attempt` on the executor,
+        retrying failed attempts; a timeout ends the job."""
         loop = asyncio.get_running_loop()
         job.state = "running"
         job.started_at = time.time()
         self._emit(job)
         t0 = time.perf_counter()
-        last_error: BaseException | None = None
         for attempt in range(1, self.retries + 2):
             job.attempts = attempt
             if attempt > 1:
                 registry.counter("service.retries").inc()
-                await asyncio.sleep(
-                    min(self.backoff_s * 2 ** (attempt - 2), _MAX_BACKOFF_S)
-                )
+                await asyncio.sleep(backoff_delay(self.backoff_s, attempt - 1))
+            executor = self._executor
             try:
                 future = loop.run_in_executor(
-                    self._executor, ops.execute_op, job.op, job.params, job.seed
+                    executor,
+                    run_attempt,
+                    ops.execute_op,
+                    (job.op, job.params),
+                    job.seed,
+                    self.timeout_s,
                 )
-                job.result = await asyncio.wait_for(future, timeout=self.timeout_s)
-                last_error = None
-                break
-            except asyncio.TimeoutError as exc:
-                last_error = exc
-                self._finalize(job, "timeout", t0, exc)
-                return
+                # SIGALRM cannot reach a worker thread: this deadline is
+                # what ends a job on the thread fallback
+                outcome = await asyncio.wait_for(future, timeout=self.timeout_s)
+            except asyncio.TimeoutError:
+                exceeded = TaskTimeout(f"task exceeded {self.timeout_s:g}s")
+                outcome = failed_attempt(exceeded)
             except BrokenProcessPool as exc:
-                last_error = exc
-                self._restart_executor()
-            except ValidationError as exc:
-                last_error = exc  # deterministic input error: no retry
+                outcome = failed_attempt(exc)
+                # jobs that ran on one broken pool replace it only once
+                if self._owns_executor and self._executor is executor:
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    self._executor = self._build_executor()
+            except Exception as exc:  # noqa: BLE001 — executor faults retried
+                outcome = failed_attempt(exc)
+            timed_out = outcome.get("error_type") == "TaskTimeout"
+            if outcome["ok"] or timed_out or not outcome["retryable"]:
                 break
-            except Exception as exc:  # noqa: BLE001 — worker faults retried
-                last_error = exc
-        if last_error is not None:
-            self._finalize(job, "failed", t0, last_error)
-        else:
-            self._finalize(job, "done", t0, None)
+        self._finalize(job, t0, outcome)
 
-    def _restart_executor(self) -> None:
-        """Replace a broken process pool (thread fallback on failure)."""
-        if not self._owns_executor or self._executor is None:
-            return
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = self._build_executor()
-
-    def _finalize(
-        self, job: Job, state: str, t0: float, error: BaseException | None
-    ) -> None:
-        """Resolve a job: duration, error record, metrics, feedback."""
+    def _finalize(self, job: Job, t0: float, outcome: dict[str, Any]) -> None:
+        """Resolve a job from its last attempt's outcome record: state,
+        duration, result or error, metrics, feedback."""
         job.duration_s = time.perf_counter() - t0
-        if error is not None:
-            job.error = str(error) or type(error).__name__
-            job.error_type = type(error).__name__
+        if outcome["ok"]:
+            state = "done"
+            job.result = outcome["value"]
+        else:
+            state = "timeout" if outcome["error_type"] == "TaskTimeout" else "failed"
+            job.error = outcome["error"]
+            job.error_type = outcome["error_type"]
         job.finish(state)
         registry.counter("service.completed", state=state).inc()
         registry.histogram("service.job_seconds").observe(job.duration_s)

@@ -1,7 +1,8 @@
 """Executable operations of the analysis service.
 
-The daemon runs CPU-bound work on a process-pool executor, which pickles
-the entry point *by reference* — so the single entry point
+The daemon runs every attempt through the runner's
+:func:`~repro.runner.pool.run_attempt` on a process-pool executor, which
+pickles the function *by reference* — so the single entry point
 (:func:`execute_op`) and every op implementation live here at module
 level, exactly like :mod:`repro.runner.tasks` does for the batch runner.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from repro.util.seeding import reseed
 from repro.util.validation import ValidationError, check_integer, check_positive
 
 __all__ = ["OPS", "execute_op", "estimate_demand", "UnknownOperation"]
@@ -88,7 +88,6 @@ def _context_kwargs(params: dict[str, Any]) -> dict[str, Any]:
         "stream_chunk": params.get("stream_chunk"),
         "max_segments": params.get("max_segments"),
         "compact_error": params.get("compact_error"),
-        "backend": params.get("backend"),
     }
 
 
@@ -167,15 +166,12 @@ def estimate_demand(op: str, params: dict[str, Any]) -> float:
     return base
 
 
-def execute_op(op: str, params: dict[str, Any], seed: int | None = None) -> dict[str, Any]:
-    """Execute one op in the current process (the executor entry point).
-
-    Reseeds the global RNGs with the job's derived seed first — the same
-    :mod:`repro.util.seeding` contract as the batch runner — so a job's
-    result is independent of which worker runs it.
-    """
+def execute_op(op: str, params: dict[str, Any]) -> dict[str, Any]:
+    """Execute one op in the current process (the function each daemon
+    attempt runs; :func:`~repro.runner.pool.run_attempt` reseeds the
+    global RNGs with the job's derived seed first, so a job's result is
+    independent of which worker runs it)."""
     impl = OPS.get(op)
     if impl is None:
         raise UnknownOperation(f"unknown op {op!r} (known: {', '.join(sorted(OPS))})")
-    reseed(seed)
     return impl(dict(params or {}))

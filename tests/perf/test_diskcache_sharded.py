@@ -164,6 +164,35 @@ class TestMigration:
         assert hit
         np.testing.assert_array_equal(value, array)
 
+    def test_legacy_directory_vanishing_mid_migration(self, tmp_path, monkeypatch):
+        # pool workers attach one flat store with shards at the same time,
+        # so a rival migrator can prune a legacy directory between this
+        # handle's listing and its scan; the attach must still succeed
+        import os
+        from pathlib import Path
+
+        from repro.perf.diskcache import _is_legacy_fanout
+
+        flat = DiskCache(tmp_path, shards=1)
+        for i in range(40):
+            flat.put(("c", i), i)
+        real_scandir = os.scandir
+
+        def scandir(path):
+            path = Path(path)
+            if path.parent == tmp_path and _is_legacy_fanout(path.name):
+                raise FileNotFoundError(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        assert DiskCache(tmp_path, shards=4).migrated == 0
+        monkeypatch.undo()
+        # nothing was lost: the next attach finds and migrates every entry
+        sharded = DiskCache(tmp_path, shards=4)
+        assert sharded.migrated == 40
+        for i in range(40):
+            assert sharded.get(("c", i)) == (True, i)
+
 
 class TestPerShardEviction:
     def test_eviction_budget_is_per_shard(self, tmp_path):

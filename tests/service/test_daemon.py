@@ -119,11 +119,11 @@ class TestFailuresAndRetries:
         calls = {"n": 0}
         real = ops.execute_op
 
-        def flaky(op, params, seed=None):
+        def flaky(op, params):
             calls["n"] += 1
             if calls["n"] < 3:
                 raise RuntimeError("transient")
-            return real(op, params, seed)
+            return real(op, params)
 
         monkeypatch.setattr(ops, "execute_op", flaky)
 
@@ -139,7 +139,7 @@ class TestFailuresAndRetries:
         run(body())
 
     def test_retries_exhausted_marks_failed(self, monkeypatch):
-        def always_broken(op, params, seed=None):
+        def always_broken(op, params):
             raise RuntimeError("still broken")
 
         monkeypatch.setattr(ops, "execute_op", always_broken)
