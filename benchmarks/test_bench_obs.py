@@ -123,7 +123,9 @@ def test_trajectory_two_runs_gate(tmp_path):
     assert [r["run_id"] for r in records] == ["one", "two"]
     assert records[-1]["backends"] == {"demo.pair": "soa"}
     verdict = trajectory.check_records(records)
-    assert verdict["ok"] and verdict["checked"] == 1
+    # every record also carries the gated package size, code.src_lines
+    assert verdict["ok"] and verdict["checked"] == 2
+    assert set(verdict["baselines"]) == {"demo.pair.speedup", "code.src_lines"}
 
     regressed = json.loads(json.dumps(records[-1]))
     regressed["metrics"]["demo.pair.speedup"] /= 2.0  # the 2x regression
@@ -135,7 +137,7 @@ def test_trajectory_two_runs_gate(tmp_path):
         "trajectory_roundtrip",
         {
             "records": len(records),
-            "gated_metrics": 1,
+            "gated_metrics": 2,
             "regression_detected": True,
         },
     )

@@ -4,7 +4,9 @@
 Reads ``benchmarks/TRAJECTORY.jsonl`` (see :mod:`repro.obs.trajectory`)
 and compares the latest record's gated metrics — ``*.speedup`` and
 ``*.eval_ratio`` higher-is-better, ``*.peak_bytes`` and
-``code.src_lines`` lower-is-better — against the median of each metric over the previous ``--window`` records.
+``code.src_lines`` lower-is-better — against the median of each metric
+over the previous ``--window`` records, and prints each gated metric's
+baseline with its depth (how many records that median uses).
 A metric that degrades by more than ``--threshold`` (fraction) fails the
 gate; raw wall-clock seconds are deliberately not gated (they track the
 host, not the code — the BENCH files' ratio metrics exist for exactly
@@ -80,6 +82,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     for name in verdict["new"]:
         print(f"  new: {name} = {latest['metrics'][name]:g}")
+    for name, base in verdict["baselines"].items():
+        print(
+            f"  {name} = {base['value']:g} vs median {base['median']:g} "
+            f"over {base['depth']}/{args.window} records"
+        )
+    thin = sum(b["depth"] < args.window for b in verdict["baselines"].values())
+    if thin:
+        print(
+            f"  {thin} of {verdict['checked']} baselines hold fewer than "
+            f"{args.window} records"
+        )
     for violation in verdict["violations"]:
         print(
             f"  REGRESSION: {violation['metric']} = {violation['value']:g} "

@@ -747,13 +747,6 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"{memo['misses']} minplus memo misses"
             + (f" - {cache['disk']} disk promotions" if cache["disk"] else "")
         )
-        batch = dispatch["batch"]
-        if batch["calls"]:
-            print(
-                f"batched convolutions: {batch['calls']} calls, "
-                f"{batch['fallbacks']} fallbacks "
-                f"({batch['fallback_rate']:.1%})"
-            )
         service = report["service"]
         if service["submitted"] or service["evalpool"]["misses"]:
             print()

@@ -10,9 +10,10 @@ subpackage is a self-contained implementation of that substrate:
   trace-derived arrival curves;
 * :mod:`~repro.curves.service` — full-processor, rate-latency, TDMA and
   fixed-priority remaining service;
-* :mod:`~repro.curves.minplus` — min-plus convolution / deconvolution;
-* :mod:`~repro.curves.backends` — pluggable generic-kernel backends
-  (numpy reference, batched SoA);
+* :mod:`~repro.curves.minplus` — min-plus convolution / deconvolution,
+  with the per-interval numpy construction kept as the oracle;
+* :mod:`~repro.curves.soa` — the structure-of-arrays kernel that computes
+  every generic pair;
 * :mod:`~repro.curves.compact` — conservative segment-budgeted compaction;
 * :mod:`~repro.curves.bounds` — backlog (eq. (6)), delay and output bounds;
 * :mod:`~repro.curves.shaper` — greedy shapers.
@@ -36,15 +37,6 @@ from repro.curves.minplus import (
     deconvolve_at,
     self_convolution_fixpoint,
     UnboundedCurveError,
-)
-from repro.curves.backends import (
-    KernelBackend,
-    active_backend,
-    get_backend,
-    register_backend,
-    registered_backends,
-    set_backend,
-    use_backend,
 )
 from repro.curves.compact import CompactionResult, compact_lower, compact_upper
 from repro.curves.bounds import backlog_bound, delay_bound, output_arrival_curve, is_stable
@@ -78,13 +70,6 @@ __all__ = [
     "deconvolve_at",
     "self_convolution_fixpoint",
     "UnboundedCurveError",
-    "KernelBackend",
-    "active_backend",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "set_backend",
-    "use_backend",
     "CompactionResult",
     "compact_upper",
     "compact_lower",

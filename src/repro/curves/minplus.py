@@ -43,26 +43,24 @@ convexity/concavity classification (:attr:`~repro.curves.curve
 * **concave ⊘ convex** — a descending-slope merge walk in ``O(n + m)``:
   the inner objective ``f(Δ + u) − g(u)`` is concave in ``u``, so the
   supremum tracks a single slope-crossover point;
-* everything else falls back to the generic exact construction
-  (:func:`convolve_generic` / :func:`deconvolve_generic`), which is
-  ``O(n·m·(n+m))`` and kept as the oracle the fast paths are verified
-  against.
+* everything else falls back to the generic exact construction,
+  ``O(n·m·(n+m))``.
 
-The generic candidate-line construction and the envelope sweep are
-vectorized (per-interval batch numpy instead of per-breakpoint Python),
-and the full curve operators are memoized by operand content digest —
-with a structure tag in the key — through :mod:`repro.perf.cache`, so a
-design-space sweep that re-convolves the same pair pays for the
-construction once.  The generic construction itself is *pluggable*: the
-dispatchers route generic-regime operands through the active
-:mod:`repro.curves.backends` backend (pure-numpy reference or batched
-SoA), and the cache key of such operands carries the backend's
-compatibility tag so memoized results stay sound across backend
-switches; fast-path results are backend-independent and keep untagged
-keys.  Every kernel body reports call counts and timing
-histograms into the :mod:`repro.obs` metrics registry and, when tracing
-is enabled, opens a span carrying the operand segment counts.  All paths
-are validated against the definitional brute-force implementations in
+Every generic pair is computed by the packed structure-of-arrays kernel
+of :mod:`repro.curves.soa`, which sweeps all envelope cells of a pair in
+a few large array passes.  The per-interval numpy construction in this
+module is that kernel's oracle: :func:`convolve_generic` /
+:func:`deconvolve_generic` run it directly, bypassing dispatch and cache,
+and the conformance suite holds the SoA kernel to bit-equal breakpoints
+and to values and slopes within 1e-12 of it.  The full curve operators are memoized by
+operand content digest — with a structure tag in the key — through
+:mod:`repro.perf.cache`, so a design-space sweep that re-convolves the
+same pair pays for the construction once.  Every kernel body reports
+call counts and timing histograms into the :mod:`repro.obs` metrics
+registry and, when tracing is enabled, opens a span carrying the operand
+segment counts and the ``backend`` that computed it (``soa`` for the
+production kernel, ``numpy`` for the oracle).  All paths are validated
+against the definitional brute-force implementations in
 :mod:`repro.reference` by the differential-oracle suite, and the fast
 paths additionally against the generic kernels by the structure property
 suite (``tests/curves/test_minplus_structure.py``).
@@ -348,7 +346,7 @@ def convolve(
     (:attr:`~repro.curves.curve.PiecewiseLinearCurve.shape`):
     convex ⊗ convex and concave ⊗ concave take closed-form ``O(n + m)``
     fast paths, everything else the generic ``O(n·m·(n+m))`` construction
-    (:func:`convolve_generic`) — for trace staircases with thousands of
+    of :mod:`repro.curves.soa` — for trace staircases with thousands of
     jumps prefer :func:`convolve_at` on the Δ values you need.  Results
     are memoized by operand content digest plus a structure tag (see
     :mod:`repro.perf.cache`).
@@ -371,28 +369,14 @@ def convolve(
     )
 
 
-def _is_generic_convolve_pair(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> bool:
-    """Whether ``f ⊗ g`` misses every closed-form fast path and therefore
-    routes through the active generic-kernel backend."""
-    return not (
-        (f.is_convex and g.is_convex) or (f.is_concave and g.is_concave)
-    )
-
-
 def _convolve_key(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> tuple:
-    """Cache key of ``f ⊗ g``; generic-regime pairs carry the active
-    backend's compatibility tag (fast-path results are backend-free)."""
-    key = (
+    """Cache key of ``f ⊗ g``."""
+    return (
         "minplus.convolve",
         f.shape + "*" + g.shape,
         f.content_digest(),
         g.content_digest(),
     )
-    if _is_generic_convolve_pair(f, g):
-        from repro.curves.backends import active_backend
-
-        key = key + ("backend:" + active_backend().compat_tag,)
-    return key
 
 
 def _count_dispatch(op: str, regime: str) -> None:
@@ -411,10 +395,11 @@ def _convolve_dispatch(
     if f.is_concave and g.is_concave:
         _count_dispatch("convolve", "concave_fast")
         return _convolve_concave(f, g)
-    from repro.curves.backends import active_backend
+    # deferred: the SoA kernel builds on this module's grid helpers
+    from repro.curves import soa
 
     _count_dispatch("convolve", "generic")
-    return active_backend().convolve(f, g)
+    return soa.convolve_batch_soa([(f, g)])[0]
 
 
 def convolve_generic(
@@ -422,9 +407,10 @@ def convolve_generic(
 ) -> PiecewiseLinearCurve:
     """The generic exact convolution, bypassing structure dispatch and cache.
 
-    Kept public as the oracle of the structure property suite: the
-    closed-form fast paths must agree with this construction pointwise on
-    every operand pair.
+    This is the oracle, not the production kernel: :func:`convolve` sends
+    generic pairs to :mod:`repro.curves.soa`, which must reproduce this
+    construction's envelope, and the closed-form fast paths must agree
+    with it pointwise on every operand pair.
     """
     return _convolve_impl(f, g)
 
@@ -443,8 +429,8 @@ def _pair_attrs(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> dict:
 
 
 def _generic_attrs(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> dict:
-    """Span attributes of the reference generic kernel, tagged with its
-    backend name so traces show which backend computed each convolution."""
+    """Span attributes of the oracle kernel, tagged ``backend=numpy`` so
+    traces tell it apart from the production ``soa`` kernel."""
     return {**_pair_attrs(f, g), "backend": "numpy"}
 
 
@@ -501,7 +487,7 @@ def _convolve_concave(
     return _restamp(f.minimum(g), "concave")
 
 
-@instrumented("minplus.convolve", attrs=_generic_attrs)
+@instrumented("minplus.convolve_generic", attrs=_generic_attrs)
 def _convolve_impl(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     fa = _CurveArrays(f)
     ga = _CurveArrays(g)
@@ -584,7 +570,7 @@ def deconvolve(
     Dispatches on operand structure: concave ``f`` over convex ``g`` (the
     dominant case — measured arrival envelope over rate-latency service)
     takes a closed-form ``O(n + m)`` walk, everything else the generic
-    construction (:func:`deconvolve_generic`).  Raises
+    construction of :mod:`repro.curves.soa`.  Raises
     :class:`UnboundedCurveError` when the result is infinite.  Results are
     memoized by operand content digest plus a structure tag.
 
@@ -609,28 +595,14 @@ def deconvolve(
     )
 
 
-def _is_generic_deconvolve_pair(
-    f: PiecewiseLinearCurve, g: PiecewiseLinearCurve
-) -> bool:
-    """Whether ``f ⊘ g`` misses the concave-over-convex fast path and
-    therefore routes through the active generic-kernel backend."""
-    return not (f.is_concave and g.is_convex and f.final_slope <= g.final_slope)
-
-
 def _deconvolve_key(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> tuple:
-    """Cache key of ``f ⊘ g``; generic-regime pairs carry the active
-    backend's compatibility tag (fast-path results are backend-free)."""
-    key = (
+    """Cache key of ``f ⊘ g``."""
+    return (
         "minplus.deconvolve",
         f.shape + "/" + g.shape,
         f.content_digest(),
         g.content_digest(),
     )
-    if _is_generic_deconvolve_pair(f, g):
-        from repro.curves.backends import active_backend
-
-        key = key + ("backend:" + active_backend().compat_tag,)
-    return key
 
 
 def _deconvolve_dispatch(
@@ -643,10 +615,10 @@ def _deconvolve_dispatch(
     if f.is_concave and g.is_convex and f.final_slope <= g.final_slope:
         _count_dispatch("deconvolve", "concave_convex_fast")
         return _deconvolve_concave_convex(f, g)
-    from repro.curves.backends import active_backend
+    from repro.curves import soa
 
     _count_dispatch("deconvolve", "generic")
-    return active_backend().deconvolve(f, g)
+    return soa.deconvolve_batch_soa([(f, g)])[0]
 
 
 def deconvolve_generic(
@@ -655,8 +627,9 @@ def deconvolve_generic(
     """The generic exact deconvolution, bypassing structure dispatch and
     cache.
 
-    Kept public as the oracle of the structure property suite.  Raises
-    :class:`UnboundedCurveError` when the result is infinite.
+    The oracle of the SoA kernel and of the structure property suite,
+    like :func:`convolve_generic`.  Raises :class:`UnboundedCurveError`
+    when the result is infinite.
     """
     if f.final_slope > g.final_slope + 1e-12:
         raise UnboundedCurveError(
@@ -717,7 +690,7 @@ def _deconvolve_concave_convex(
     return _restamp(PiecewiseLinearCurve(xs, ys, ss).simplified(), "concave")
 
 
-@instrumented("minplus.deconvolve", attrs=_generic_attrs)
+@instrumented("minplus.deconvolve_generic", attrs=_generic_attrs)
 def _deconvolve_impl(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     fa = _CurveArrays(f)
     ga = _CurveArrays(g)

@@ -1,19 +1,21 @@
-"""Batched structure-of-arrays min-plus kernels.
+"""Structure-of-arrays min-plus kernels: the production generic kernel.
 
-The generic construction in :mod:`repro.curves.minplus` walks the
-outer-sum breakpoint grid one cell at a time, building the candidate
-configuration lines and sweeping their envelope with a handful of numpy
-calls *per cell* — thousands of tiny array operations for a 200-segment
-pair.  This module performs the identical construction as a few dozen
-large array operations: the operand curves of a whole batch are packed
-into shared padded (structure-of-arrays) matrices, every envelope cell of
-every pair becomes one row of a candidate-line matrix, and the winner
-selection / first-crossing search run as row-wise reductions over all
-active cells simultaneously.
+Every generic pair of :func:`repro.curves.minplus.convolve` /
+:func:`~repro.curves.minplus.deconvolve` (no closed-form fast path
+applies) is computed here.  The oracle construction in
+:mod:`repro.curves.minplus` walks the outer-sum breakpoint grid one cell
+at a time, building the candidate configuration lines and sweeping their
+envelope with a handful of numpy calls *per cell* — thousands of tiny
+array operations for a 200-segment pair.  This module performs the
+identical construction as a few dozen large array operations: the
+operand curves are packed into shared padded (structure-of-arrays)
+matrices, every envelope cell becomes one row of a candidate-line
+matrix, and the winner selection / first-crossing search run as
+row-wise reductions over all active cells simultaneously.
 
 Exactness
 ---------
-The kernel replicates the reference construction decision-for-decision:
+The kernel replicates the oracle construction decision-for-decision:
 
 * the same :func:`~repro.curves.minplus._dedupe_grid`-collapsed cell
   grids, the same synthetic last cell, the same midpoint probes;
@@ -22,24 +24,25 @@ The kernel replicates the reference construction decision-for-decision:
 * the same envelope tie-breaking — extremal value with ties within
   ``1e-12`` relative broken by flattest (lower) / steepest (upper) slope
   and then by smallest value, the ordering ``np.unique`` induces in the
-  reference sweep — and the same ``1e-15`` crossing thresholds.
+  oracle sweep — and the same ``1e-15`` crossing thresholds.
 
 Infeasible / padded candidate entries are masked with a large finite
 sentinel (``±1e300``) on the losing side of the envelope instead of
 ``inf`` so the line arithmetic never produces NaNs.  The differential
-conformance suite (``tests/curves/test_backend_conformance.py``) pins the
-agreement with the reference kernel and the brute-force oracles.
+conformance suite (``tests/curves/test_backend_conformance.py``) pins
+bit-equal breakpoints, values and slopes within 1e-12 of the oracle, and
+the agreement with the brute-force oracles.
 
 Batch contract
 --------------
-A convolution batch must be homogeneous in tail regime: either every
+The kernels take a list of pairs; production passes a list of one.  A
+longer convolution list must be homogeneous in tail regime: either every
 pair's result saturates (``min(f.final_slope, g.final_slope) == 0`` — a
 finite asymptote) or every pair's result grows without bound.  The packed
 sweep stamps the shared synthetic last cell and the tail slope uniformly
-per batch, so mixed batches are refused with a
-:class:`~repro.util.validation.ValidationError`; callers
-(:func:`repro.perf.batch.convolve_many`) partition by tail regime and
-fall back per-partition, never globally.
+per call, so mixed lists are refused with a
+:class:`~repro.util.validation.ValidationError`.  A single pair is
+always homogeneous.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.curves.minplus import (
     UnboundedCurveError,
     _dedupe_grid,
     _monotone_pwl,
+    _pair_attrs,
 )
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
@@ -132,7 +136,7 @@ def _build_cells(grids: list[np.ndarray]):
 
     Returns ``(pid, a, mid, bcap)``: the owning pair, the cell start, the
     midpoint probe, and the sweep cap (``inf`` for each pair's synthetic
-    last cell) — exactly the values the reference per-cell loop derives.
+    last cell) — exactly the values the oracle per-cell loop derives.
     """
     pids: list[np.ndarray] = []
     a_parts: list[np.ndarray] = []
@@ -165,7 +169,7 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
     ``value = va + sl·(Δ − a[c])`` of one cell; masked entries carry
     ``+_BIG`` (lower) / ``-_BIG`` (upper).  Returns flat
     ``(cell, x, value, slope)`` arrays of the emitted segments, sorted by
-    cell with each cell's segments in sweep order — the reference
+    cell with each cell's segments in sweep order — the oracle
     :func:`~repro.curves.minplus._line_envelope_on_interval` replayed for
     every row simultaneously.
     """
@@ -276,7 +280,7 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
 
 def _assemble(pairs, cell_pid, seg_cell, seg_x, seg_v, seg_s, finals):
     """Split the flat segment stream per pair and build the result curves
-    exactly like the reference assembly (clamps, tail restamp,
+    exactly like the oracle assembly (clamps, tail restamp,
     :func:`~repro.curves.minplus._monotone_pwl`)."""
     seg_pid = cell_pid[seg_cell]
     bounds = np.searchsorted(seg_pid, np.arange(len(pairs) + 1))
@@ -298,19 +302,24 @@ def _chunks(cell_count: int, line_width: int):
         yield lo, min(lo + step, cell_count)
 
 
-@instrumented(
-    "minplus.convolve_batch_soa",
-    attrs=lambda pairs: {"pairs": len(pairs), "backend": "soa"},
-)
+def _batch_attrs(pairs) -> dict:
+    """Span attributes of a kernel call; a single pair also carries the
+    operand attributes of :func:`~repro.curves.minplus._pair_attrs`."""
+    attrs = {"pairs": len(pairs), "backend": "soa"}
+    if len(pairs) == 1:
+        attrs.update(_pair_attrs(*pairs[0]))
+    return attrs
+
+
+@instrumented("minplus.convolve", attrs=_batch_attrs)
 def convolve_batch_soa(
     pairs: Sequence[tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]]
 ) -> list[PiecewiseLinearCurve]:
     """Min-plus convolution of every pair through one packed sweep.
 
-    Exact generic construction (see module docstring); the batch must be
+    Exact generic construction (see module docstring); the pairs must be
     homogeneous in tail regime or a
-    :class:`~repro.util.validation.ValidationError` is raised — callers
-    partition (see :func:`repro.perf.batch.convolve_many`).
+    :class:`~repro.util.validation.ValidationError` is raised.
     """
     pairs = list(pairs)
     if not pairs:
@@ -347,7 +356,7 @@ def convolve_batch_soa(
 
         # the interval midpoint clears the cell start by at least half the
         # _dedupe_grid-guaranteed cell width, so the pinned remainders
-        # (mid - s) are strictly positive and the reference's t == 0
+        # (mid - s) are strictly positive and the oracle's t == 0
         # evaluation guard can never fire — it is elided here.
         # the _BIG sentinel is folded into the pinned-value term of every
         # infeasible entry, so the line arithmetic itself produces ~_BIG
@@ -366,7 +375,7 @@ def convolve_batch_soa(
         va_f = f_at + g_val0 - g_slope * half
         # left-limit probes only matter where the curve actually jumps;
         # at continuous breakpoints they duplicate the base line exactly,
-        # and the reference's np.unique dedup discards such duplicates, so
+        # and the oracle's np.unique dedup discards such duplicates, so
         # compressing those columns away preserves bit-parity
         jump_f = feas_f & (fx > 0.0) & (fleft != fy)
         jcols_f = np.flatnonzero(jump_f.any(axis=0))
@@ -417,10 +426,7 @@ def convolve_batch_soa(
     return _assemble(pairs, cell_pid, seg_cell, seg_x, seg_v, seg_s, finals)
 
 
-@instrumented(
-    "minplus.deconvolve_batch_soa",
-    attrs=lambda pairs: {"pairs": len(pairs), "backend": "soa"},
-)
+@instrumented("minplus.deconvolve", attrs=_batch_attrs)
 def deconvolve_batch_soa(
     pairs: Sequence[tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]]
 ) -> list[PiecewiseLinearCurve]:

@@ -12,9 +12,8 @@ investigation actually asks:
   attributes the min-plus kernels attach;
 * **Which dispatch regime ran?** — :func:`dispatch_breakdown` reads the
   ``minplus.dispatch{op, regime}`` counters (convex/concave closed
-  forms vs the generic backend), the per-backend call counters, the
-  compaction counters, and the batch-fallback rate out of a metrics
-  snapshot;
+  forms vs the generic kernel), the compaction counters, and the
+  min-plus memo traffic out of a metrics snapshot;
 * **How healthy is the cache?** — :func:`cache_tiers` splits every
   memoized lookup into the ``memory`` / ``disk`` / ``miss`` tiers, which
   by construction sum to the total lookups;
@@ -299,10 +298,8 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     """Kernel dispatch-regime accounting out of a metrics *snapshot*.
 
     Returns, per curve operator, how many cache-missed dispatches took
-    each regime (``minplus.dispatch{op, regime}``), the per-backend
-    generic-kernel call counts (``minplus.backend.calls``), compaction
-    activity, and the batched-path fallback rate
-    (``minplus.batch.fallback`` over the backends' batch calls).
+    each regime (``minplus.dispatch{op, regime}``), compaction activity,
+    and the min-plus memo hit/miss totals.
     """
     regimes: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("counters", ()):
@@ -312,18 +309,6 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
         regime = str(entry["labels"].get("regime"))
         per_op = regimes.setdefault(op, {})
         per_op[regime] = per_op.get(regime, 0) + entry["value"]
-    backend_calls = {}
-    for entry in snapshot.get("counters", ()):
-        if entry["name"] != "minplus.backend.calls":
-            continue
-        backend = str(entry["labels"].get("backend"))
-        op = str(entry["labels"].get("op"))
-        per = backend_calls.setdefault(backend, {})
-        per[op] = per.get(op, 0) + entry["value"]
-    batch_calls = sum(
-        per.get("convolve_batch", 0) for per in backend_calls.values()
-    )
-    fallbacks = _sum_counters(snapshot, "minplus.batch.fallback")
     memo_hits: int | float = 0
     memo_misses: int | float = 0
     for entry in snapshot.get("counters", ()):
@@ -334,16 +319,10 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
                 memo_misses += entry["value"]
     return {
         "regimes": {op: dict(sorted(r.items())) for op, r in sorted(regimes.items())},
-        "backend_calls": {b: dict(sorted(p.items())) for b, p in sorted(backend_calls.items())},
         "compaction": {
             "calls": _sum_counters(snapshot, "compact.calls"),
             "noops": _sum_counters(snapshot, "compact.noop"),
             "segments_dropped": _sum_counters(snapshot, "compact.segments_dropped"),
-        },
-        "batch": {
-            "calls": batch_calls,
-            "fallbacks": fallbacks,
-            "fallback_rate": (fallbacks / batch_calls) if batch_calls else 0.0,
         },
         # cache traffic scoped to the min-plus kernels (``cache.op.*`` with
         # a ``minplus.*`` op): absent disk promotions, every memo miss runs

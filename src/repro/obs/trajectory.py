@@ -249,15 +249,25 @@ def check_records(
     yet are reported as ``new`` — a gate needs a baseline before it can
     fail, so the first record always passes.
 
-    Returns ``{"ok": bool, "checked": int, "new": [...], "violations":
-    [{"metric", "value", "baseline", "ratio", "direction", "window"}]}``.
+    Returns ``{"ok": bool, "checked": int, "new": [...], "baselines":
+    {metric: {"value", "median", "depth"}}, "violations": [{"metric",
+    "value", "baseline", "ratio", "direction", "window"}]}``, where
+    ``depth`` is how many prior records the checked metric's median uses
+    (at most *window*).
     """
     if not records:
-        return {"ok": True, "checked": 0, "new": [], "violations": []}
+        return {
+            "ok": True,
+            "checked": 0,
+            "new": [],
+            "baselines": {},
+            "violations": [],
+        }
     latest = records[-1]
     history = records[:-1]
     violations: list[dict[str, Any]] = []
     fresh: list[str] = []
+    baselines: dict[str, dict[str, Any]] = {}
     checked = 0
     for name, value in sorted(latest.get("metrics", {}).items()):
         direction = metric_direction(name)
@@ -273,6 +283,7 @@ def check_records(
             continue
         checked += 1
         baseline = _median(prior)
+        baselines[name] = {"value": value, "median": baseline, "depth": len(prior)}
         if baseline == 0:
             continue
         ratio = value / baseline
@@ -296,5 +307,6 @@ def check_records(
         "ok": not violations,
         "checked": checked,
         "new": fresh,
+        "baselines": baselines,
         "violations": violations,
     }

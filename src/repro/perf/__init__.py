@@ -14,8 +14,10 @@ The performance layer behind the analysis engine:
 * :mod:`repro.perf.instrument` — per-kernel call counts, wall time, and
   timing histograms, reported through the :mod:`repro.obs` metrics
   registry (and, when tracing is enabled, as nested spans);
-* :mod:`repro.perf.batch` — batched kernels (:func:`convolve_many`,
-  :func:`evaluate_at_many`, …) for the sweep-style workloads.
+* :mod:`repro.perf.batch` — batch helpers for the sweep-style workloads:
+  :func:`convolve_many` / :func:`deconvolve_many` run each pair through
+  the memoized operator, :func:`evaluate_at_many` evaluates many curves
+  on one Δ-grid, and :func:`convolve_reduce` folds a chain.
 
 Quick use::
 

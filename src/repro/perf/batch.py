@@ -2,9 +2,10 @@
 
 Design-space sweeps (buffer-size ablations, frequency ladders, chain
 reductions) apply the same operator to many operands.  The helpers here
-expose that as batch calls: duplicate work is collapsed through the kernel
-cache, and evaluation over a shared Δ-grid is a single vectorized pass per
-curve instead of a Python loop of scalar calls.
+expose that as batch calls: each pair goes through the memoized
+operator, so duplicate work is collapsed by the kernel cache, and
+evaluation over a shared Δ-grid is a single vectorized pass per curve
+instead of a Python loop of scalar calls.
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.curves.backends import active_backend
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import (
-    _convolve_key,
-    _is_generic_convolve_pair,
-    convolve,
-    deconvolve,
-)
-from repro.obs.metrics import registry as _metrics
-from repro.perf.cache import kernel_cache
+from repro.curves.minplus import convolve, deconvolve
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
 
@@ -33,68 +26,14 @@ _Pair = tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]
 
 @instrumented("batch.convolve_many")
 def convolve_many(pairs: Sequence[_Pair], **budget) -> list[PiecewiseLinearCurve]:
-    """Min-plus convolution of every ``(f, g)`` pair.
+    """Min-plus convolution of every ``(f, g)`` pair (memoized per pair).
 
-    Structured pairs (and all budgeted calls) route through the memoized
-    :func:`repro.curves.minplus.convolve`, so repeated pairs — common when
-    a sweep perturbs only one operand — cost one construction.  When the
-    active backend is batched (``supports_batch``), the *generic* pairs
-    are instead probed against the kernel cache, deduplicated by content
-    key, partitioned by tail regime (the batched kernel requires
-    tail-homogeneous batches), and computed in one vectorized kernel call
-    per partition; a partition the backend still refuses falls back to the
-    per-pair generic path *for that partition only*.  Budget keywords
+    Each pair routes through :func:`repro.curves.minplus.convolve`, so
+    repeated pairs — common when a sweep perturbs only one operand — cost
+    one construction.  Budget keywords
     (``max_segments``/``max_error``/``direction``) are forwarded.
     """
-    pairs = list(pairs)
-    backend = active_backend()
-    if budget or not backend.supports_batch:
-        return [convolve(f, g, **budget) for f, g in pairs]
-    results: list[PiecewiseLinearCurve | None] = [None] * len(pairs)
-    misses: dict[tuple, list[int]] = {}
-    for i, (f, g) in enumerate(pairs):
-        if not _is_generic_convolve_pair(f, g):
-            results[i] = convolve(f, g)
-            continue
-        key = _convolve_key(f, g)
-        found, value = kernel_cache.lookup(key)
-        if found:
-            results[i] = value
-        else:
-            misses.setdefault(key, []).append(i)
-    if misses:
-        unique = [(key, idxs[0]) for key, idxs in misses.items()]
-        saturating = [
-            (key, i)
-            for key, i in unique
-            if min(pairs[i][0].final_slope, pairs[i][1].final_slope) == 0.0
-        ]
-        unbounded = [
-            (key, i)
-            for key, i in unique
-            if min(pairs[i][0].final_slope, pairs[i][1].final_slope) != 0.0
-        ]
-        for partition in (saturating, unbounded):
-            if not partition:
-                continue
-            operands = [pairs[i] for _, i in partition]
-            # batch-computed pairs never reach _convolve_dispatch, so the
-            # dispatch accounting meters them here under their own regime
-            _metrics.counter(
-                "minplus.dispatch", op="convolve", regime="batch"
-            ).inc(len(partition))
-            try:
-                outs = backend.convolve_batch(operands)
-            except ValidationError:
-                _metrics.counter(
-                    "minplus.batch.fallback", backend=backend.name
-                ).inc()
-                outs = [backend.convolve(f, g) for f, g in operands]
-            for (key, _), out in zip(partition, outs):
-                kernel_cache.put(key, out)
-                for i in misses[key]:
-                    results[i] = out
-    return results
+    return [convolve(f, g, **budget) for f, g in pairs]
 
 
 @instrumented("batch.deconvolve_many")
@@ -146,8 +85,8 @@ def convolve_reduce(
     concave ⊗ concave is concave), so every intermediate of those two
     sub-reductions stays in the ``O(n + m)`` regime.  Only then are the
     group results and any unstructured operands folded by a balanced
-    pairwise tree — the tree shape keeps intermediate curves small and
-    lets :func:`convolve_many` batch each level through the kernel cache.
+    pairwise tree — the tree shape keeps intermediate curves small, and
+    each level goes through the kernel cache via :func:`convolve_many`.
 
     With a segment/error budget plus a *direction* every pairwise
     convolution is budgeted (see :func:`repro.curves.minplus.convolve`),

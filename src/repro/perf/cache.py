@@ -145,58 +145,6 @@ class KernelCache:
                 self.evictions += 1
         return value.copy() if copy else value
 
-    # -- batch-path primitives -------------------------------------------------
-    def lookup(self, key: tuple) -> tuple[bool, Any]:
-        """Probe the cache for *key* without computing: ``(found, value)``.
-
-        The batched call paths (:func:`repro.perf.batch.convolve_many`)
-        probe every operand first, compute all misses in one vectorized
-        kernel call, and store the results with :meth:`put` — accounting
-        matches :meth:`get_or_compute` (one hit or one miss per probe, a
-        bypass when disabled).  Memory misses consult the disk level and
-        promote its hits.
-        """
-        if not self.enabled:
-            with self._lock:
-                self.bypasses += 1
-            return False, None
-        op = key[0]
-        with self._lock:
-            value = self._store.get(key, _SENTINEL)
-            counters = self._per_op.setdefault(op, {"hits": 0, "misses": 0})
-            if value is not _SENTINEL:
-                self.hits += 1
-                counters["hits"] += 1
-                self._store.move_to_end(key)
-                return True, value
-            self.misses += 1
-            counters["misses"] += 1
-            disk = self.disk
-        if disk is not None:
-            found, stored = disk.get(key)
-            if found:
-                with self._lock:
-                    self._store[key] = stored
-                    while len(self._store) > self.max_entries:
-                        self._store.popitem(last=False)
-                        self.evictions += 1
-                return True, stored
-        return False, None
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Store a batch-computed result under *key* (write-through to the
-        disk level); a no-op while the cache is disabled."""
-        if not self.enabled:
-            return
-        disk = self.disk
-        if disk is not None:
-            disk.put(key, value)
-        with self._lock:
-            self._store[key] = value
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
-
     # -- management ------------------------------------------------------------
     def clear(self) -> None:
         """Drop all entries (counters are kept; see :meth:`reset_counters`)."""
@@ -284,7 +232,6 @@ def configure(
     disk_dir: Any = None,
     disk_max_bytes: int | None = None,
     disk_shards: int | None = None,
-    backend: str | None = None,
 ) -> None:
     """Adjust the global cache: switch it on/off and/or resize it.
 
@@ -293,9 +240,7 @@ def configure(
     insert.  ``disk_dir`` attaches a persistent second level at that
     directory (see :func:`attach_disk_cache`), split into ``disk_shards``
     independently-locked shard directories; pass ``disk_dir=False`` to
-    detach it.  ``backend`` selects the active min-plus kernel backend
-    (see :mod:`repro.curves.backends`); switching is cache-sound because
-    generic-path keys carry the backend's compatibility tag.
+    detach it.
     """
     if enabled is not None:
         kernel_cache.enabled = bool(enabled)
@@ -307,10 +252,6 @@ def configure(
         detach_disk_cache()
     elif disk_dir is not None:
         attach_disk_cache(disk_dir, max_bytes=disk_max_bytes, shards=disk_shards)
-    if backend is not None:
-        from repro.curves.backends import set_backend
-
-        set_backend(backend)
 
 
 def attach_disk_cache(directory, *, max_bytes: int | None = None, shards: int | None = None):

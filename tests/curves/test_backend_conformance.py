@@ -1,25 +1,28 @@
-"""Differential conformance suite for the min-plus kernel backends.
+"""Differential conformance suite for the two generic min-plus kernels.
 
-Every backend registered in :mod:`repro.curves.backends` is run against
-two independent oracles on seeded hypothesis-generated curve families:
+Both kernels — ``numpy``, the per-interval oracle construction behind
+``convolve_generic`` / ``deconvolve_generic``, and ``soa``, the
+structure-of-arrays kernel that the production ``convolve`` /
+``deconvolve`` call on every generic pair — are run, bypassing the
+structure dispatch, against two independent oracles on seeded
+hypothesis-generated curve families:
 
-* the pure-numpy generic kernel (``convolve_generic`` /
-  ``deconvolve_generic``) — the construction every backend must replicate
-  decision-for-decision, and
+* the oracle construction itself — the production kernel must replicate
+  it decision-for-decision, and
 * the definitional brute-force optimizers of :mod:`repro.reference` —
   exhaustive candidate enumeration straight from eq. (5)'s inf/sup, which
-  would catch the reference and a backend drifting *together*.
+  would catch the oracle and the production kernel drifting *together*.
 
-Conformance contract (documented for third-party backends)
-----------------------------------------------------------
-A backend must reproduce the reference *envelope*: the same breakpoint
-grid (bit-equal abscissae — both sides derive it from the same outer-sum
-construction) and values/slopes equal within ``RTOL``/``ATOL`` (1e-12
-relative, i.e. a few float64 ulps on unit-scale operands).  Pointwise,
-results must match the brute oracle within ``BRUTE_TOL``.  Any backend
-added through :func:`repro.curves.backends.register_backend` is picked up
-by these tests automatically — the parametrization enumerates the
-registry, it does not hard-code names.
+Conformance contract
+--------------------
+The production kernel must reproduce the oracle *envelope*: the same
+breakpoint grid (bit-equal abscissae — both sides derive it from the
+same outer-sum construction) and values/slopes equal within
+``RTOL``/``ATOL`` (1e-12 relative, i.e. a few float64 ulps on unit-scale
+operands).  Pointwise, results must match the brute oracle within
+``BRUTE_TOL``.  ``TestLargerOperands`` holds the production entry points
+to the same contract on 20 seeded general pairs of 20–60 by 20–24
+segments.
 
 Families: convex, concave, staircase (pure jumps), general (slopes +
 jumps), mixed-shape operands, budget-compacted operands, and
@@ -32,25 +35,43 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.curves.backends import get_backend, registered_backends
+import repro.perf as perf
 from repro.curves.compact import compact_upper
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import (
     UnboundedCurveError,
+    convolve,
     convolve_generic,
+    deconvolve,
     deconvolve_generic,
 )
+from repro.curves.soa import convolve_batch_soa, deconvolve_batch_soa
 from repro.reference import convolve_at_brute, deconvolve_at_brute
 
 #: Documented envelope agreement bound: a few float64 ulps on unit-scale
-#: operands (the reference assembles values with the same expressions, so
-#: in practice the batched backend is bit-identical).
+#: operands (the oracle assembles values with the same expressions, so
+#: in practice the production kernel is bit-identical).
 RTOL = 1e-12
 ATOL = 1e-12
 #: Pointwise agreement with the definitional brute-force oracles.
 BRUTE_TOL = 1e-9
 
-BACKENDS = sorted(registered_backends())
+#: ``(convolve, deconvolve, convolve a list of pairs)`` per kernel, named
+#: by the ``backend`` attribute of its spans; ``soa`` is called on one
+#: pair exactly as the production dispatch calls it.
+KERNELS = {
+    "numpy": (
+        convolve_generic,
+        deconvolve_generic,
+        lambda pairs: [convolve_generic(f, g) for f, g in pairs],
+    ),
+    "soa": (
+        lambda f, g: convolve_batch_soa([(f, g)])[0],
+        lambda f, g: deconvolve_batch_soa([(f, g)])[0],
+        convolve_batch_soa,
+    ),
+}
+BACKENDS = sorted(KERNELS)
 
 
 # -- curve families ------------------------------------------------------------
@@ -177,8 +198,7 @@ class TestConvolveConformance:
         f_curves, g_curves = CONVOLVE_FAMILIES[family]
         f = data.draw(f_curves)
         g = data.draw(g_curves)
-        backend = get_backend(backend_name)
-        result = backend.convolve(f, g)
+        result = KERNELS[backend_name][0](f, g)
         reference = convolve_generic(f, g)
         _assert_same_envelope(result, reference)
         # at a jump of the result the definitional inf is left-continuous
@@ -194,14 +214,13 @@ class TestConvolveConformance:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_batch_matches_per_pair(self, backend_name, data):
-        backend = get_backend(backend_name)
         pairs = [
             (data.draw(general_curves()), data.draw(general_curves()))
             for _ in range(4)
         ]
-        # homogeneous tail regime so batched backends accept the batch
+        # homogeneous tail regime so the packed SoA sweep accepts the batch
         assume(len({min(f.final_slope, g.final_slope) == 0.0 for f, g in pairs}) == 1)
-        results = backend.convolve_batch(pairs)
+        results = KERNELS[backend_name][2](pairs)
         assert len(results) == len(pairs)
         for (f, g), result in zip(pairs, results):
             _assert_same_envelope(result, convolve_generic(f, g))
@@ -226,8 +245,7 @@ class TestDeconvolveConformance:
         g = data.draw(general_curves())
         # stability gate: deconvolution diverges when f outgrows g
         assume(f.final_slope <= g.final_slope)
-        backend = get_backend(backend_name)
-        result = backend.deconvolve(f, g)
+        result = KERNELS[backend_name][1](f, g)
         reference = deconvolve_generic(f, g)
         _assert_same_envelope(result, reference)
         for d in _probe_deltas(f, g, result)[:6]:
@@ -241,9 +259,8 @@ class TestDeconvolveConformance:
     @settings(max_examples=20, deadline=None)
     def test_divergent_pairs_rejected(self, backend_name, f, g):
         assume(f.final_slope > g.final_slope + 1e-12)
-        backend = get_backend(backend_name)
         with pytest.raises(UnboundedCurveError):
-            backend.deconvolve(f, g)
+            KERNELS[backend_name][1](f, g)
 
 
 class TestDegenerateGrids:
@@ -267,8 +284,7 @@ class TestDegenerateGrids:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_ulp_adjacent_convolve(self, backend_name):
         f, g = self._operands()
-        backend = get_backend(backend_name)
-        result = backend.convolve(f, g)
+        result = KERNELS[backend_name][0](f, g)
         _assert_same_envelope(result, convolve_generic(f, g))
         for d in (0.1, 0.3, float(0.1 + 0.2), 0.4, 1.0):
             value = float(result(d))
@@ -280,8 +296,9 @@ class TestDegenerateGrids:
         f, g = self._operands()
         if f.final_slope > g.final_slope:
             f, g = g, f
-        backend = get_backend(backend_name)
-        _assert_same_envelope(backend.deconvolve(f, g), deconvolve_generic(f, g))
+        _assert_same_envelope(
+            KERNELS[backend_name][1](f, g), deconvolve_generic(f, g)
+        )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_shared_breakpoint_scales(self, backend_name):
@@ -291,5 +308,53 @@ class TestDegenerateGrids:
         xs = np.array([0.0, 1.0, 1.0 + 2**-50, 2.0])
         f = PiecewiseLinearCurve(xs, np.array([0.0, 2.0, 2.0, 3.0]), np.array([2.0, 0.0, 1.0, 4.0]))
         g = PiecewiseLinearCurve(xs.copy(), np.array([0.5, 1.0, 1.5, 1.5]), np.array([0.5, 1.0, 0.0, 2.0]))
-        backend = get_backend(backend_name)
-        _assert_same_envelope(backend.convolve(f, g), convolve_generic(f, g))
+        _assert_same_envelope(
+            KERNELS[backend_name][0](f, g), convolve_generic(f, g)
+        )
+
+
+def _random_general(rng: np.random.Generator, n: int) -> PiecewiseLinearCurve:
+    """A continuous general curve with random unsorted slopes, built like
+    the operands of ``benchmarks/test_bench_minplus.py``."""
+    gaps = rng.uniform(0.5, 2.0, n - 1)
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ss = rng.uniform(0.1, 10.0, n)
+    ys = np.cumsum(np.concatenate(([0.0], np.diff(xs) * ss[:-1])))
+    return PiecewiseLinearCurve(xs, ys, ss)
+
+
+def _larger_pairs(seed: int, count: int = 10):
+    """Seeded general pairs: ``f`` of 20–60 segments, ``g`` of 20–24 (the
+    oracle's cost grows with n·m·(n+m), which bounds the test's time)."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (
+            _random_general(rng, int(rng.integers(20, 61))),
+            _random_general(rng, int(rng.integers(20, 25))),
+        )
+        for _ in range(count)
+    ]
+    assert all(c.shape == "general" for pair in pairs for c in pair)
+    return pairs
+
+
+@pytest.fixture
+def cache_off():
+    perf.configure(enabled=False)
+    yield
+    perf.configure(enabled=True)
+
+
+class TestLargerOperands:
+    """The memoized production entry points, with the cache off, against
+    the oracle on operands far larger than the families above draw."""
+
+    def test_convolve(self, cache_off):
+        for f, g in _larger_pairs(2026):
+            _assert_same_envelope(convolve(f, g), convolve_generic(f, g))
+
+    def test_deconvolve(self, cache_off):
+        for f, g in _larger_pairs(2027):
+            if f.final_slope > g.final_slope:
+                f, g = g, f
+            _assert_same_envelope(deconvolve(f, g), deconvolve_generic(f, g))

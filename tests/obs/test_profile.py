@@ -196,9 +196,6 @@ class TestDispatchAndCache:
         reg.counter("minplus.dispatch", op="convolve", regime="convex_fast").inc(5)
         reg.counter("minplus.dispatch", op="convolve", regime="generic").inc(2)
         reg.counter("minplus.dispatch", op="deconvolve", regime="generic").inc(1)
-        reg.counter("minplus.backend.calls", backend="soa", op="convolve").inc(2)
-        reg.counter("minplus.backend.calls", backend="soa", op="convolve_batch").inc(4)
-        reg.counter("minplus.batch.fallback", backend="soa").inc(1)
         reg.counter("cache.calls").inc(20)
         reg.counter("cache.hits").inc(8)
         reg.counter("cache.misses").inc(12)
@@ -214,8 +211,6 @@ class TestDispatchAndCache:
             "generic": 2,
         }
         assert dispatch["regimes"]["deconvolve"] == {"generic": 1}
-        assert dispatch["batch"]["calls"] == 4
-        assert dispatch["batch"]["fallback_rate"] == pytest.approx(0.25)
         assert dispatch["memo"] == {"lookups": 20, "hits": 8, "misses": 12}
 
     def test_cache_tiers_sum_to_lookups(self):

@@ -183,6 +183,18 @@ class TestCheckRecords:
         assert verdict["ok"] is True
         assert verdict["checked"] == 0
 
+    def test_baseline_depth_per_metric(self):
+        records = [
+            _record({"a.b.speedup": 8.0}),
+            _record({"a.b.speedup": 8.0, "c.d.speedup": 3.0}),
+            _record({"a.b.speedup": 7.0, "c.d.speedup": 3.0}),
+        ]
+        baselines = check_records(records)["baselines"]
+        assert baselines == {
+            "a.b.speedup": {"value": 7.0, "median": 8.0, "depth": 2},
+            "c.d.speedup": {"value": 3.0, "median": 3.0, "depth": 1},
+        }
+
     def test_metric_missing_from_history_is_new(self):
         records = [_record({"a.b.speedup": 8.0})]
         records.append(_record({"c.d.speedup": 3.0}))
@@ -222,6 +234,21 @@ class TestCheckTrajectoryScript:
         proc = self._run("--path", str(store))
         assert proc.returncode == 1
         assert "REGRESSION: a.b.speedup" in proc.stderr
+
+    def test_prints_baseline_depth(self, tmp_path):
+        store = self._store(
+            tmp_path,
+            [
+                {"a.b.speedup": 8.0},
+                {"a.b.speedup": 8.0, "c.d.speedup": 3.0},
+                {"a.b.speedup": 7.0, "c.d.speedup": 3.0},
+            ],
+        )
+        proc = self._run("--path", str(store))
+        assert proc.returncode == 0, proc.stderr
+        assert "a.b.speedup = 7 vs median 8 over 2/5 records" in proc.stdout
+        assert "c.d.speedup = 3 vs median 3 over 1/5 records" in proc.stdout
+        assert "2 of 2 baselines hold fewer than 5 records" in proc.stdout
 
     def test_empty_store_passes(self, tmp_path):
         proc = self._run("--path", str(tmp_path / "absent.jsonl"))
