@@ -11,6 +11,10 @@ Load-bearing properties gated in CI:
   trace in bounded memory — a small multiple of the chunk size, not of
   the trace — while returning bit-identical envelopes to the one-shot
   kernel;
+* the pruned window kernel must extract one 72-frame case-study clip's
+  workload envelopes and minimal window lengths on the context grid
+  (dense to 4096, growth 1.015) >= 1.5x faster each than the per-length
+  loop it replaced, which the gate keeps as its reference, bit for bit;
 * the production generic kernel (the SoA kernel behind ``convolve``)
   must beat the numpy oracle (``convolve_generic``) by >= 5x on a
   200-segment *general* pair (no fast path applies) and by >= 2.5x when
@@ -31,8 +35,11 @@ import numpy as np
 import pytest
 
 import repro.perf as perf
+from repro.curves.arrival import minimal_window_lengths
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import convolve, convolve_generic
+from repro.mpeg.clips import standard_clips
+from repro.obs.metrics import registry
 from repro.perf.batch import convolve_many
 from repro.util.staircase import (
     cumulative_envelope_minmax,
@@ -142,6 +149,83 @@ def test_streaming_extraction_bounded_memory_gate():
         f"streaming peak {peak_bytes / 1e6:.2f} MB is not bounded well below "
         f"the {trace_bytes / 1e6:.0f} MB materialized trace"
     )
+
+
+def _loop_envelope(demands: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-length loop the window kernel replaced."""
+    csum = np.concatenate(([0.0], np.cumsum(demands)))
+    lo = np.empty(ks.size)
+    hi = np.empty(ks.size)
+    for i, k in enumerate(ks):
+        diffs = csum[k:] - csum[:-k]
+        lo[i] = diffs.min()
+        hi[i] = diffs.max()
+    return lo, hi
+
+
+def _loop_min_windows(ts: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The per-count loop ``minimal_window_lengths`` replaced."""
+    return np.array([float(np.min(ts[n - 1 :] - ts[: ts.size - n + 1])) for n in ns])
+
+
+def _best_of(runs: int, fn):
+    best, result = np.inf, None
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def _window_lengths(path: str) -> int:
+    return sum(
+        registry.counter("staircase.window_lengths", op=op, path=path).value
+        for op in ("envelope_minmax", "min_window")
+    )
+
+
+def test_window_pruning_speedup_gate():
+    """The pruned window kernel must beat the per-length loop >= 1.5x on
+    the envelope and on the minimal window lengths of one 72-frame clip
+    on the case-study grid, with bit-identical results."""
+    data = standard_clips(frames=72)[0].generate()
+    demands, ts = data.pe2_cycles, data.pe1_output
+    ks = make_k_grid(demands.size, dense_limit=4_096, growth=1.015)
+    ns = make_k_grid(ts.size, dense_limit=4_096, growth=1.015)
+
+    loop_env_s, (lo0, hi0) = _best_of(2, lambda: _loop_envelope(demands, ks))
+    loop_arr_s, d0 = _best_of(2, lambda: _loop_min_windows(ts, ns))
+    pruned_before = _window_lengths("pruned")
+    lengths_before = sum(_window_lengths(p) for p in ("anchor", "pruned", "fallback"))
+    perf.configure(enabled=False)  # time the kernel, not the memo cache
+    try:
+        env_s, (lo, hi) = _best_of(2, lambda: cumulative_envelope_minmax(demands, ks))
+    finally:
+        perf.configure(enabled=True)
+    arr_s, (_, d) = _best_of(2, lambda: minimal_window_lengths(ts, ns))
+    pruned = _window_lengths("pruned") - pruned_before
+    lengths = sum(_window_lengths(p) for p in ("anchor", "pruned", "fallback")) - lengths_before
+
+    assert lo.tobytes() == lo0.tobytes() and hi.tobytes() == hi0.tobytes()
+    assert d.tobytes() == d0.tobytes()
+    envelope_speedup = loop_env_s / env_s
+    arrival_speedup = loop_arr_s / arr_s
+    _merge_report(
+        "window_pruning",
+        {
+            "events": int(demands.size),
+            "lengths": int(ks.size),
+            "envelope_loop_seconds": loop_env_s,
+            "envelope_seconds": env_s,
+            "envelope_speedup": envelope_speedup,
+            "arrival_loop_seconds": loop_arr_s,
+            "arrival_seconds": arr_s,
+            "arrival_speedup": arrival_speedup,
+            "pruned_share": pruned / lengths,
+        },
+    )
+    assert envelope_speedup >= 1.5, f"envelope {envelope_speedup:.2f}x below the 1.5x gate"
+    assert arrival_speedup >= 1.5, f"window lengths {arrival_speedup:.2f}x below the 1.5x gate"
 
 
 def _random_general(rng: np.random.Generator, n: int) -> PiecewiseLinearCurve:

@@ -12,7 +12,8 @@ the compaction PR, so its sections are checked key-by-key (chain speedup
 present and >= 1, eval counts positive, relative gap finite).
 ``BENCH_minplus.json`` carries the backend-gate numbers: its backend
 sections must name the backend that produced them and report a speedup
->= 1 over the reference kernel.  ``BENCH_sim.json`` carries the
+>= 1 over the reference kernel, and its ``window_pruning`` section must
+report both window-kernel speedups at or above the gate's 1.5x.  ``BENCH_sim.json`` carries the
 simulation-engine gates: the N-stage chain replay must cover at least a
 million stage-events and beat the event-driven oracle by its gate
 factor, and the kernel's sorted bulk loader must beat per-event pushes.  When a trajectory store exists, every
@@ -81,6 +82,22 @@ MINPLUS_BACKEND_SECTIONS = {
         "speedup",
     },
 }
+
+
+#: Required keys of the window-kernel section of BENCH_minplus.json
+#: (``test_window_pruning_speedup_gate``) and the floor of its speedups.
+WINDOW_PRUNING_KEYS = {
+    "events",
+    "lengths",
+    "envelope_loop_seconds",
+    "envelope_seconds",
+    "envelope_speedup",
+    "arrival_loop_seconds",
+    "arrival_seconds",
+    "arrival_speedup",
+    "pruned_share",
+}
+WINDOW_PRUNING_FLOOR = 1.5
 
 
 #: Required keys per gate section of BENCH_service.json — the gates in
@@ -226,6 +243,18 @@ def validate_minplus(path: Path) -> None:
             fail(
                 f"{path}: {section}: backend slower than the reference "
                 f"({payload['speedup']:.2f}x)"
+            )
+    window = report.get("window_pruning")
+    if window is None:
+        fail(f"{path}: missing gate section 'window_pruning'")
+    missing = WINDOW_PRUNING_KEYS - window.keys()
+    if missing:
+        fail(f"{path}: window_pruning: missing keys {sorted(missing)}")
+    for key in ("envelope_speedup", "arrival_speedup"):
+        if window[key] < WINDOW_PRUNING_FLOOR:
+            fail(
+                f"{path}: window_pruning: {key} {window[key]:.2f}x below the "
+                f"{WINDOW_PRUNING_FLOOR}x gate"
             )
 
 

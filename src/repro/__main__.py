@@ -747,6 +747,15 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"{memo['misses']} minplus memo misses"
             + (f" - {cache['disk']} disk promotions" if cache["disk"] else "")
         )
+        window = report["window"]
+        if window["lengths"]:
+            print(
+                f"window lengths {_fmt(float(window['lengths']))}: "
+                f"anchors {_fmt(float(window['anchor']))}, "
+                f"pruned {_fmt(float(window['pruned']))}, "
+                f"fallbacks {_fmt(float(window['fallback']))} "
+                f"({window['pruned'] / window['lengths']:.1%} pruned)"
+            )
         service = report["service"]
         if service["submitted"] or service["evalpool"]["misses"]:
             print()
@@ -893,7 +902,7 @@ def _obs_main(argv: list[str]) -> int:
 
     report = sub.add_parser(
         "report",
-        help="hottest kernels, dispatch regimes, cache tiers, quantiles",
+        help="hottest kernels, dispatch regimes, window pruning, cache tiers, quantiles",
     )
     report.add_argument(
         "--trace", metavar="PATH", default=None, help="span trace (JSONL)"

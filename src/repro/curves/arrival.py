@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.curves.curve import PiecewiseLinearCurve, step_curve
+from repro.util.staircase import _window_extrema
 from repro.util.validation import (
     ValidationError,
     check_integer,
@@ -111,14 +112,8 @@ def minimal_window_lengths(
     exact information content of the trace's upper arrival curve.
     """
     ts = _check_timestamps(timestamps)
-    n_total = ts.size
-    if n_values is None:
-        ns = np.arange(1, n_total + 1, dtype=np.int64)
-    else:
-        ns = np.asarray(n_values, dtype=np.int64)
-        if ns.size == 0 or np.any(ns < 1) or np.any(ns > n_total) or np.any(np.diff(ns) <= 0):
-            raise ValidationError("n_values must be strictly increasing within 1..len(trace)")
-    d = np.array([float(np.min(ts[n - 1 :] - ts[: n_total - n + 1])) for n in ns])
+    ns = _check_n_values(n_values, ts.size)
+    (d,) = _window_extrema(ts, ns - 1, "min_window", maximum=False)
     return ns, d
 
 
@@ -129,14 +124,8 @@ def maximal_window_lengths(
     events: ``D_n = max_i (t[i+n-1] - t[i])`` — the dual of
     :func:`minimal_window_lengths`, used for the lower arrival curve."""
     ts = _check_timestamps(timestamps)
-    n_total = ts.size
-    if n_values is None:
-        ns = np.arange(1, n_total + 1, dtype=np.int64)
-    else:
-        ns = np.asarray(n_values, dtype=np.int64)
-        if ns.size == 0 or np.any(ns < 1) or np.any(ns > n_total) or np.any(np.diff(ns) <= 0):
-            raise ValidationError("n_values must be strictly increasing within 1..len(trace)")
-    d = np.array([float(np.max(ts[n - 1 :] - ts[: n_total - n + 1])) for n in ns])
+    ns = _check_n_values(n_values, ts.size)
+    (d,) = _window_extrema(ts, ns - 1, "max_window", minimum=False)
     return ns, d
 
 
@@ -227,6 +216,15 @@ def from_trace_lower(
     ys = list(np.maximum.accumulate(np.array(ys)))
     slopes = np.zeros(len(xs))
     return PiecewiseLinearCurve(np.array(xs), np.array(ys), slopes).simplified()
+
+
+def _check_n_values(n_values: Sequence[int] | None, n_total: int) -> np.ndarray:
+    if n_values is None:
+        return np.arange(1, n_total + 1, dtype=np.int64)
+    ns = np.asarray(n_values, dtype=np.int64)
+    if ns.size == 0 or np.any(ns < 1) or np.any(ns > n_total) or np.any(np.diff(ns) <= 0):
+        raise ValidationError("n_values must be strictly increasing within 1..len(trace)")
+    return ns
 
 
 def _check_timestamps(timestamps: Sequence[float]) -> np.ndarray:

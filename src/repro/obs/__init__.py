@@ -71,6 +71,7 @@ from repro.obs.profile import (
     profile_report,
     service_breakdown,
     simulation_breakdown,
+    window_breakdown,
     prometheus_text,
     read_trace_jsonl,
     write_collapsed,
@@ -128,6 +129,7 @@ __all__ = [
     "profile_report",
     "service_breakdown",
     "simulation_breakdown",
+    "window_breakdown",
     "prometheus_text",
     "read_trace_jsonl",
     "write_collapsed",

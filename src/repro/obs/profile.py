@@ -14,6 +14,9 @@ investigation actually asks:
   ``minplus.dispatch{op, regime}`` counters (convex/concave closed
   forms vs the generic kernel), the compaction counters, and the
   min-plus memo traffic out of a metrics snapshot;
+* **How much did the window kernel prune?** — :func:`window_breakdown`
+  splits the window lengths of ``staircase.window_lengths{op, path}``
+  into anchor passes, pruned lengths and fallback passes;
 * **How healthy is the cache?** — :func:`cache_tiers` splits every
   memoized lookup into the ``memory`` / ``disk`` / ``miss`` tiers, which
   by construction sum to the total lookups;
@@ -50,6 +53,7 @@ __all__ = [
     "cache_tiers",
     "service_breakdown",
     "simulation_breakdown",
+    "window_breakdown",
     "profile_report",
     "write_profile",
     "prometheus_text",
@@ -445,6 +449,36 @@ def simulation_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def window_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
+    """Window-kernel accounting out of a metrics *snapshot*.
+
+    Reads ``staircase.window_lengths{op, path}``: every window length the
+    one-shot kernel (:func:`repro.util.staircase._window_extrema`)
+    evaluated is counted once, as an ``anchor`` (a planned full pass,
+    which may seed the pruning of the lengths after it), ``pruned`` (only
+    the candidate starts were evaluated) or ``fallback`` (a full pass
+    after the exactness check declined the candidates).  Returns the totals over all ops,
+    ``lengths = anchor + pruned + fallback`` and the per-op split; all
+    zeros when no one-shot extraction ran.
+    """
+    by_op: dict[str, dict[str, int | float]] = {}
+    for entry in snapshot.get("counters", ()):
+        if entry["name"] != "staircase.window_lengths":
+            continue
+        row = by_op.setdefault(str(entry["labels"].get("op")), {})
+        path = str(entry["labels"].get("path"))
+        row[path] = row.get(path, 0) + entry["value"]
+    totals = {
+        path: sum(row.get(path, 0) for row in by_op.values())
+        for path in ("anchor", "pruned", "fallback")
+    }
+    return {
+        "lengths": sum(totals.values()),
+        **totals,
+        "by_op": {op: dict(sorted(row.items())) for op, row in sorted(by_op.items())},
+    }
+
+
 def profile_report(
     trace_records: Iterable[dict[str, Any]] | None = None,
     metrics_snapshot: dict[str, Any] | None = None,
@@ -468,6 +502,7 @@ def profile_report(
         report["cache"] = cache_tiers(metrics_snapshot)
         report["service"] = service_breakdown(metrics_snapshot)
         report["simulation"] = simulation_breakdown(metrics_snapshot)
+        report["window"] = window_breakdown(metrics_snapshot)
         report["quantiles"] = histogram_quantiles(
             metrics_snapshot, quantiles=quantiles
         )

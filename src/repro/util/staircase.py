@@ -4,15 +4,18 @@ Workload curves (paper, Definition 1) are sequences indexed by the number of
 consecutive task activations ``k``.  Extracting them from a trace requires,
 for every window length ``k``, the maximum (or minimum) sum of per-event
 demands over all length-``k`` windows.  The helpers here implement that with
-cumulative sums so each window length costs O(n) vectorized work.
+cumulative sums: each window sum is one subtraction of two prefix sums, and
+:func:`_window_extrema` forms only the subtractions that can hold each
+extremum (see its docstring).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import counter
 from repro.perf.cache import digest_of, kernel_cache
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError, check_integer
@@ -35,15 +38,16 @@ def sliding_window_max_sum(values: Sequence[float], k: int) -> float:
 
     Implements ``max_j sum(values[j:j+k])`` — the inner maximization of the
     paper's upper workload curve (eq. (1)) for a single ``k``.  Routed
-    through the memoized :func:`cumulative_envelope_minmax` kernel, so
-    single-``k`` probes during a sweep that has already extracted (or
-    probed) the same trace are cache hits instead of fresh ``cumsum``
-    passes.
+    through the memoized :func:`cumulative_envelope_minmax` kernel under
+    the key of ``(values, [k])``: repeating a probe is a cache hit, and the
+    min and max probes of one ``(values, k)`` share an entry, but a probe
+    never hits the entry of a full-grid extraction of the same trace.
 
     Raises
     ------
     ValidationError
-        If ``k < 1`` or ``k`` exceeds the trace length.
+        If ``k < 1``, ``k`` exceeds the trace length, or a demand is not
+        finite.
     """
     arr = np.asarray(values, dtype=float)
     k = check_integer(k, "k", minimum=1)
@@ -93,8 +97,15 @@ def cumulative_envelope_minmax(
     .WorkloadCurvePair` costs one sweep instead of two.  Results are
     memoized by content digest of ``(values, k_values)`` — the second curve
     of a pair, and any re-extraction during a sweep, is a cache hit.
+
+    Raises
+    ------
+    ValidationError
+        On malformed ``k_values`` or a demand that is not finite.
     """
     arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("demands must be finite")
     ks = _check_k_values(k_values, arr.size)
     key = ("staircase.envelope_minmax", digest_of(arr, ks))
     lo, hi = kernel_cache.get_or_compute(key, lambda: _envelope_minmax(arr, ks))
@@ -104,16 +115,154 @@ def cumulative_envelope_minmax(
 @instrumented("staircase.envelope_minmax")
 def _envelope_minmax(arr: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     csum = np.concatenate(([0.0], np.cumsum(arr)))
-    lo = np.empty(ks.size, dtype=float)
-    hi = np.empty(ks.size, dtype=float)
-    # one reusable buffer: the window-sum vector shrinks as k grows, so the
-    # largest (k = ks[0]) allocation is made once and sliced thereafter
-    buf = np.empty(csum.size - int(ks[0]), dtype=float)
-    for i, k in enumerate(ks):
-        diffs = np.subtract(csum[k:], csum[:-k], out=buf[: csum.size - k])
-        lo[i] = diffs.min()
-        hi[i] = diffs.max()
+    lo, hi = _window_extrema(csum, ks, "envelope_minmax")
     return lo, hi
+
+
+class _Side(NamedTuple):
+    """One extremum of :func:`_window_extrema`, named for the maximum; the
+    minimum mirrors each field."""
+
+    best: np.ufunc  # its reduction, the one a full pass applies
+    worst: np.ufunc  # the opposite reduction
+    arg: Callable[..., int]  # position of the extremum
+    holds: np.ufunc  # "at least as extreme as"
+    sign: float  # the direction in which values grow more extreme
+
+
+_MAX = _Side(np.maximum, np.minimum, np.argmax, np.greater_equal, 1.0)
+_MIN = _Side(np.minimum, np.maximum, np.argmin, np.less_equal, -1.0)
+
+#: Window lengths one anchor pass serves.
+_SPAN = 16
+#: An anchor prunes its span only while its candidates are at most this
+#: share of the window starts.
+_CANDIDATE_SHARE = 1 / 8
+
+
+def _window_extrema(
+    x: np.ndarray,
+    ks: np.ndarray,
+    op: str,
+    *,
+    minimum: bool = True,
+    maximum: bool = True,
+) -> list[np.ndarray]:
+    """``min_j`` and/or ``max_j`` of ``x[j + k] - x[j]`` for each ``k`` of
+    the strictly increasing grid *ks* (``0 <= k < x.size``), in that order.
+
+    *x* is a prefix-sum array (window sums) or a timestamp array (window
+    spans).  Every value returned is the float a full pass
+    ``(x[k:] - x[:x.size - k]).max()`` produces: the kernel forms the same
+    subtractions, only fewer of them.
+
+    With ``S(j, k) = x[j + k] - x[j]``, real arithmetic gives
+    ``S(j, k0 + m) = S(j, k0) + S(j + k0, m)``.  An *anchor* length ``k0``
+    gets a full pass; for a following length ``k = k0 + m`` whose offset
+    ``m`` is a length already computed, every start satisfies
+    ``S(j + k0, m) <= E(m)``, the exact maximum at ``m``.  So a start whose
+    anchor value lies below a threshold ``T`` has ``S(j, k) < T + E(m)``
+    (up to rounding), and only the *candidates* at or above ``T`` need the
+    subtraction at ``k``.  ``T`` is chosen from one valid start near the
+    anchor's best, so that start beats the bound; the kernel then
+    *checks*, per length, that the best candidate reaches the bound,
+    which makes the result exact whatever ``T`` was.  A length that fails
+    the check, or whose extremum is zero (the plain reduction alone fixes
+    the sign of a zero), gets its own full pass.
+
+    An anchor serves up to :data:`_SPAN` following lengths.  One whose
+    candidates exceed :data:`_CANDIDATE_SHARE` of the starts prunes
+    nothing, and the next attempt waits: 1, 3, 7, ... anchors after 1,
+    2, 3, ... failed attempts in a row, until one prunes.  On inputs
+    where no start stands out (constant or tied demands) nearly every
+    length is then a plain full pass; a shorter span instead would cost
+    more in candidate bookkeeping than it saves on short traces.  Counts
+    each length under ``staircase.window_lengths{op, path}``, ``path``
+    one of ``anchor`` (a full pass), ``pruned`` or ``fallback``.
+    """
+    sides = [side for side, on in ((_MIN, minimum), (_MAX, maximum)) if on]
+    out = [np.empty(ks.size) for _ in sides]
+    last = x.size - 1  # starts of length k are 0..last-k
+    scale = float(np.max(np.abs(x)))
+    # Rounding margin, with u = 2**-53 and s = scale: each difference of
+    # two entries of x is exact up to one rounding of at most 2us, so an
+    # excluded start's value at k = k0 + m is below T + E(m) + 6us (the
+    # anchor subtraction, the one at m behind E(m), and its own).  Forming
+    # the bound T + E(m) + margin rounds twice more on magnitudes below
+    # 7s, at most 14us + u*margin.  margin = 64us covers both with room;
+    # a bound no excluded start reaches makes ties with the best
+    # impossible.
+    margin = 32 * np.finfo(float).eps * scale
+    # every bound below stays under 8 * scale in magnitude: prune only
+    # while that cannot overflow
+    span = _SPAN if np.isfinite(16 * scale) else 0
+    idle = misses = 0  # anchors to pass before the next attempt; failed attempts in a row
+    pruned = fallbacks = 0
+    lengths = ks.tolist()
+    index = {k: j for j, k in enumerate(lengths)}
+    buf = np.empty(x.size)  # a full pass's window values, until the next one
+
+    def full_pass(i: int) -> np.ndarray:
+        k = lengths[i]
+        d = np.subtract(x[k:], x[: x.size - k], out=buf[: x.size - k])
+        for side, res in zip(sides, out):
+            res[i] = side.best.reduce(d)
+        return d
+
+    i = 0
+    while i < ks.size:
+        d = full_pass(i)
+        if idle:
+            idle -= 1
+            i += 1
+            continue
+        # the following lengths whose offset m is a length already computed
+        pos = []
+        for k in lengths[i + 1 : i + 1 + span]:
+            j = index.get(k - lengths[i], i + 1)
+            if j > i:
+                break
+            pos.append(j)
+        n_group = len(pos)
+        if n_group == 0:
+            i += 1
+            continue
+        kk = ks[i + 1 : i + 1 + n_group]
+        thresholds = []
+        mask = np.zeros(d.size, dtype=bool)
+        for side, res in zip(sides, out):
+            ref = np.minimum(side.arg(d), last - kk)
+            gap = side.worst.reduce(x[ref + kk] - x[ref] - res[pos])
+            thresholds.append(gap - side.sign * 2 * margin)
+            mask |= side.holds(d, thresholds[-1])
+        cand = np.flatnonzero(mask)
+        if cand.size > d.size * _CANDIDATE_SHARE:
+            misses += 1
+            idle = 2**misses - 1
+            i += 1
+            continue
+        misses = 0
+        ends = cand + kk[:, None]
+        sums = x.take(ends, mode="clip")
+        sums -= x[cand]
+        valid = ends <= last  # a start past the last one of a length holds no window
+        group = slice(i + 1, i + 1 + n_group)
+        failed = np.zeros(n_group, dtype=bool)
+        for side, res, threshold in zip(sides, out, thresholds):
+            best = side.best.reduce(sums, axis=1, where=valid, initial=-side.sign * np.inf)
+            res[group] = best
+            bound = threshold + res[pos] + side.sign * margin
+            failed |= ~side.holds(best, bound) | (best == 0.0)
+        for f in np.flatnonzero(failed):
+            full_pass(i + 1 + int(f))
+        fallbacks += int(failed.sum())
+        pruned += n_group - int(failed.sum())
+        i += 1 + n_group
+    anchors = ks.size - pruned - fallbacks
+    for path, count in (("anchor", anchors), ("pruned", pruned), ("fallback", fallbacks)):
+        if count:
+            counter("staircase.window_lengths", op=op, path=path).inc(count)
+    return out
 
 
 def streaming_envelope_minmax(

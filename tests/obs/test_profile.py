@@ -21,6 +21,7 @@ from repro.obs.profile import (
     read_trace_jsonl,
     service_breakdown,
     simulation_breakdown,
+    window_breakdown,
     write_collapsed,
     write_profile,
 )
@@ -302,6 +303,24 @@ class TestSimulationBreakdown:
         assert set(sim) == {"chain", "workload_items"}
 
 
+class TestWindowBreakdown:
+    def test_splits_lengths_by_path_and_op(self):
+        reg = MetricsRegistry()
+        reg.counter("staircase.window_lengths", op="envelope_minmax", path="anchor").inc(30)
+        reg.counter("staircase.window_lengths", op="envelope_minmax", path="pruned").inc(400)
+        reg.counter("staircase.window_lengths", op="min_window", path="pruned").inc(60)
+        reg.counter("staircase.window_lengths", op="min_window", path="fallback").inc(2)
+        window = window_breakdown(reg.snapshot())
+        assert window["lengths"] == 492
+        assert (window["anchor"], window["pruned"], window["fallback"]) == (30, 460, 2)
+        assert window["by_op"]["min_window"] == {"fallback": 2, "pruned": 60}
+        assert profile_report(None, reg.snapshot())["window"] == window
+
+    def test_empty_snapshot_is_all_zeros(self):
+        window = window_breakdown(MetricsRegistry().snapshot())
+        assert window["lengths"] == 0 and window["by_op"] == {}
+
+
 class TestProfileReport:
     def test_schema_and_sections(self, tmp_path):
         records = [_span("k", 0.0, 0.5, 0)]
@@ -311,7 +330,7 @@ class TestProfileReport:
         assert report["schema"] == PROFILE_SCHEMA
         assert set(report) == {
             "schema", "trace", "stacks", "dispatch", "cache", "service",
-            "simulation", "quantiles",
+            "simulation", "window", "quantiles",
         }
         path = tmp_path / "profile.json"
         write_profile(report, path)

@@ -207,6 +207,21 @@ class TestObsCli:
         assert excinfo.value.code != 0
         assert "--trace and/or --metrics" in capsys.readouterr().err
 
+    def test_report_window_line(self, capsys, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        for path, count in (("anchor", 25), ("pruned", 370), ("fallback", 5)):
+            reg.counter("staircase.window_lengths", op="min_window", path=path).inc(count)
+        metrics = tmp_path / "window.json"
+        metrics.write_text(json.dumps(reg.snapshot()))
+        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "window lengths 400: anchors 25, pruned 370, fallbacks 5 (92.5% pruned)"
+            in out
+        )
+
     def test_report_rejects_wrong_schema(self, capsys, tmp_path):
         bad = tmp_path / "not_metrics.json"
         bad.write_text('{"schema": "something/else"}')

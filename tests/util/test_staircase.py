@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.curves.arrival import maximal_window_lengths, minimal_window_lengths
+from repro.obs.metrics import registry
 from repro.util.staircase import (
     cumulative_envelope_max,
     cumulative_envelope_min,
@@ -91,6 +93,136 @@ class TestEnvelopes:
         assert np.all(
             cumulative_envelope_min(values, ks) <= cumulative_envelope_max(values, ks) + 1e-12
         )
+
+
+class TestNonFiniteDemands:
+    """The one-shot path rejects what the streaming fold rejects."""
+
+    def test_envelope_rejects_nan(self):
+        with pytest.raises(ValidationError, match="finite"):
+            cumulative_envelope_minmax([1.0, np.nan, 2.0], [1, 2])
+
+    def test_single_window_rejects_inf(self):
+        with pytest.raises(ValidationError, match="finite"):
+            sliding_window_max_sum([1.0, np.inf, 2.0], 2)
+
+
+def _plain_extrema(x, ks):
+    """The per-length loop the window kernel replaced: one full pass of
+    ``x[k:] - x[:x.size - k]`` per window length."""
+    lo = np.empty(len(ks))
+    hi = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        d = x[k:] - x[: x.size - k]
+        lo[i], hi[i] = d.min(), d.max()
+    return lo, hi
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _fallbacks(op):
+    return registry.counter("staircase.window_lengths", op=op, path="fallback").value
+
+
+def _family(name, n, rng):
+    if name == "uniform":
+        return rng.uniform(0.0, 10.0, n)
+    if name == "signed":
+        return rng.normal(0.0, 5.0, n)
+    if name == "constant":
+        return np.full(n, 3.25)
+    if name == "tied":
+        return rng.integers(0, 4, n).astype(float)
+    if name == "steps":
+        return np.repeat(rng.uniform(0.0, 100.0, n // 8 + 1), 8)[:n]
+    if name == "giant":
+        return rng.uniform(0.0, 1e9, n)
+    if name == "ramp":  # every extremum sits at a trace end
+        return np.linspace(0.0, 1.0, n) + rng.uniform(0.0, 1e-3, n)
+    return rng.choice([-0.0, 0.0, 1.0], n)  # signed zeros
+
+
+_FAMILIES = ("uniform", "signed", "constant", "tied", "steps", "giant", "ramp", "zeros")
+
+
+@st.composite
+def _window_case(draw):
+    """A demand trace of one family and a window grid over it."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = _family(draw(st.sampled_from(_FAMILIES)), n, rng)
+    grid = draw(st.sampled_from(("dense", "geometric", "subset")))
+    if grid == "dense":
+        ks = np.arange(1, n + 1)
+    elif grid == "geometric":
+        limit = draw(st.integers(min_value=1, max_value=64))
+        ks = make_k_grid(n, dense_limit=limit, growth=draw(st.sampled_from((1.02, 1.1, 1.5))))
+    else:
+        ks = np.flatnonzero(rng.random(n) < 0.6) + 1
+        ks = ks if ks.size else np.array([n])
+    return values, ks.astype(np.int64), draw(st.sampled_from((0.0, 1e6)))
+
+
+class TestWindowKernel:
+    """The pruned kernel returns the floats of a full pass per length,
+    bit for bit, on every input family."""
+
+    @given(_window_case())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_plain_pass(self, case):
+        values, ks, offset = case
+        lo, hi = cumulative_envelope_minmax(values, ks)
+        ref_lo, ref_hi = _plain_extrema(np.concatenate(([0.0], np.cumsum(values))), ks)
+        assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
+        # the same draw as a timestamp trace: ties wherever a value is zero,
+        # and window counts n cover k = n - 1 = 0 through the whole trace
+        ts = offset + np.cumsum(np.abs(values))
+        ns = np.unique(np.minimum(ks, ts.size))
+        ref_min, ref_max = _plain_extrema(ts, ns - 1)
+        assert _bits(minimal_window_lengths(ts, ns)[1]) == _bits(ref_min)
+        assert _bits(maximal_window_lengths(ts, ns)[1]) == _bits(ref_max)
+
+    def test_extremum_at_trace_end_prunes_exactly(self):
+        rng = np.random.default_rng(11)
+        values = np.linspace(1.0, 2.0, 600) + rng.uniform(0.0, 0.01, 600)
+        ks = np.arange(1, 601)
+        pruned = registry.counter(
+            "staircase.window_lengths", op="envelope_minmax", path="pruned"
+        )
+        before = pruned.value
+        lo, hi = cumulative_envelope_minmax(values, ks)
+        ref_lo, ref_hi = _plain_extrema(np.concatenate(([0.0], np.cumsum(values))), ks)
+        assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
+        assert pruned.value - before > ks.size // 2
+
+    @pytest.mark.parametrize("zero, run", [(0.0, slice(150, 230)), (-0.0, slice(0, 40))])
+    def test_zero_extremum_takes_the_fallback(self, zero, run):
+        """A run of idle activations makes the minimum window sum zero for
+        every length inside the run.  Opened by ``-0.0`` demands, the run
+        holds windows summing to ``-0.0`` and to ``+0.0``, which compare
+        equal; only the full pass fixes which one its reduction returns,
+        so those lengths fall back."""
+        rng = np.random.default_rng(5)
+        values = rng.uniform(1.0, 2.0, 1000)
+        values[run] = zero
+        ks = np.arange(1, 1001)
+        before = _fallbacks("envelope_minmax")
+        lo, hi = cumulative_envelope_minmax(values, ks)
+        ref_lo, ref_hi = _plain_extrema(np.concatenate(([0.0], np.cumsum(values))), ks)
+        assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
+        assert _fallbacks("envelope_minmax") - before >= 1
+
+    def test_simultaneous_arrivals_take_the_fallback(self):
+        rng = np.random.default_rng(8)
+        ts = 1e6 + np.cumsum(rng.exponential(1.0, 2000))
+        for start in (300, 900, 1500):  # bursts of five simultaneous events
+            ts[start : start + 5] = ts[start]
+        before = _fallbacks("min_window")
+        ns, d = minimal_window_lengths(ts)
+        assert _bits(d) == _bits(_plain_extrema(ts, ns - 1)[0])
+        assert _fallbacks("min_window") - before >= 1
 
 
 class TestMonotoneHelpers:
