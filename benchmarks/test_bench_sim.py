@@ -1,6 +1,6 @@
 """Benchmark gates for the vectorized simulation engine.
 
-Two acceptance gates, both written to ``BENCH_sim.json`` (and from there
+Three acceptance gates, all written to ``BENCH_sim.json`` (and from there
 folded into the trajectory store like every other BENCH file):
 
 * **chain replay** — the vectorized max-plus replay
@@ -15,6 +15,11 @@ folded into the trajectory store like every other BENCH file):
   constant-memory lazy cursor) must beat one million individual
   :meth:`~repro.simulation.kernel.Simulator.schedule` pushes by at least
   1.5x end to end (load + drain).
+* **front-end recursion** — the busy-period kernel behind the synthetic
+  clips' PE1 output times, on the 14 standard clips' (bit arrival, PE1
+  service time) arrays at 72 frames, must be bit-identical to the
+  per-item loop of :func:`repro.reference.completion_times_brute` and at
+  least 3x faster than it.
 """
 
 import json
@@ -23,6 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.mpeg.bitstream import _front_end_recursion
+from repro.mpeg.clips import standard_clips
+from repro.obs.metrics import registry
+from repro.reference import completion_times_brute
 from repro.simulation import Simulator, replay_chain, simulate_chain
 
 BENCH_PATH = Path(__file__).parent / "BENCH_sim.json"
@@ -35,6 +44,10 @@ CHAIN_SPEEDUP_GATE = 20.0
 #: Kernel gate shape: 1M pre-sorted events, bulk vs per-event loading.
 KERNEL_EVENTS = 1_000_000
 KERNEL_SPEEDUP_GATE = 1.5
+
+#: Front-end gate shape: the 14 standard clips at the case study's 72 frames.
+FRONT_END_FRAMES = 72
+FRONT_END_SPEEDUP_GATE = 3.0
 
 
 def _merge_report(section: str, payload: dict) -> None:
@@ -149,4 +162,52 @@ def test_schedule_sorted_bulk_load_gate():
     assert speedup >= KERNEL_SPEEDUP_GATE, (
         f"bulk loading only {speedup:.2f}x faster than per-event pushes "
         f"(gate: {KERNEL_SPEEDUP_GATE}x)"
+    )
+
+
+def test_front_end_recursion_gate():
+    """The busy-period kernel must equal the per-item loop bit for bit and
+    beat it >= 3x on the 14 standard clips."""
+    traces = []
+    for clip in standard_clips(frames=FRONT_END_FRAMES):
+        data = clip.generate()
+        traces.append((data.bit_arrival, data.pe1_cycles / clip.pe1_frequency))
+    items = sum(a.size for a, _ in traces)
+
+    t0 = time.perf_counter()
+    oracle = [completion_times_brute(a, s) for a, s in traces]
+    oracle_seconds = time.perf_counter() - t0
+
+    loop = registry.counter("mpeg.front_end.items", path="loop")
+    loop_before = loop.value
+    kernel_seconds = float("inf")
+    for _ in range(3):  # best of three: the kernel takes tens of ms per pass
+        t0 = time.perf_counter()
+        done = [_front_end_recursion(a, s) for a, s in traces]
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - t0)
+    loop_items = (loop.value - loop_before) // 3
+
+    for got, want in zip(done, oracle):
+        assert got.tobytes() == want.tobytes()
+    speedup = oracle_seconds / kernel_seconds
+    _merge_report(
+        "front_end_recursion",
+        {
+            "clips": len(traces),
+            "frames": FRONT_END_FRAMES,
+            "items": items,
+            "loop_items": loop_items,
+            "oracle_seconds": oracle_seconds,
+            "kernel_seconds": kernel_seconds,
+            "speedup": speedup,
+        },
+    )
+    print(
+        f"front-end recursion: loop {oracle_seconds:.2f}s, "
+        f"busy periods {kernel_seconds * 1e3:.0f}ms ({speedup:.1f}x), "
+        f"{loop_items} of {items} items through the loop tail"
+    )
+    assert speedup >= FRONT_END_SPEEDUP_GATE, (
+        f"front-end recursion only {speedup:.2f}x faster than the per-item "
+        f"loop (gate: {FRONT_END_SPEEDUP_GATE}x)"
     )

@@ -16,7 +16,8 @@ sections must name the backend that produced them and report a speedup
 report both window-kernel speedups at or above the gate's 1.5x.  ``BENCH_sim.json`` carries the
 simulation-engine gates: the N-stage chain replay must cover at least a
 million stage-events and beat the event-driven oracle by its gate
-factor, and the kernel's sorted bulk loader must beat per-event pushes.  When a trajectory store exists, every
+factor, the kernel's sorted bulk loader must beat per-event pushes, and
+the clips' busy-period PE1 recursion must beat the per-item loop 3x.  When a trajectory store exists, every
 BENCH section naming a backend is additionally cross-checked against the
 latest trajectory record's backend claims, so a BENCH file regenerated
 under a different backend cannot silently desynchronize from the history
@@ -158,10 +159,23 @@ SIM_SECTIONS = {
         "bulk_seconds",
         "speedup",
     },
+    "front_end_recursion": {
+        "clips",
+        "frames",
+        "items",
+        "loop_items",
+        "oracle_seconds",
+        "kernel_seconds",
+        "speedup",
+    },
 }
 
 #: Speedup floors of the simulation gates (same numbers the tests assert).
-SIM_SPEEDUP_FLOORS = {"chain_replay": 20.0, "schedule_sorted": 1.5}
+SIM_SPEEDUP_FLOORS = {
+    "chain_replay": 20.0,
+    "schedule_sorted": 1.5,
+    "front_end_recursion": 3.0,
+}
 
 
 def fail(message: str) -> None:

@@ -787,7 +787,7 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     f"{_fmt(float(pool['evictions']))} evictions"
                 )
         sim = report["simulation"]
-        if sim["chain"]["runs"] or sim["workload_items"]:
+        if sim["chain"]["runs"] or sim["workload_items"] or sim["front_end"]:
             print()
             table = TextTable(
                 ["simulation", "count"], title="Simulation engine (sim.* family)"
@@ -798,7 +798,15 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 table.add_row([f"chain item-stages[{impl}]", _fmt(float(count))])
             for model, count in sim["workload_items"].items():
                 table.add_row([f"workload items[{model}]", _fmt(float(count))])
-            print(table.render())
+            if table.rows:
+                print(table.render())
+            items = int(sum(sim["front_end"].values()))
+            if items:
+                loop = int(sim["front_end"].get("loop", 0))
+                print(
+                    f"front-end recursion items {items}: vectorized "
+                    f"{items - loop}, loop {loop} ({loop / items:.1%} loop)"
+                )
             if sim["chain"]["stages"]:
                 sub = TextTable(
                     ["stage", "high water", "overflows", "busy (s)"],

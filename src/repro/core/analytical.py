@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.workload import WorkloadCurve, WorkloadCurvePair
 from repro.util.validation import ValidationError, check_integer, check_positive
@@ -85,13 +86,9 @@ class PollingTask:
         """
         k_max = check_integer(k_max, "k_max", minimum=1)
         ks = np.arange(1, k_max + 1, dtype=np.int64)
-        nmax = np.array([self.n_max(int(k)) for k in ks], dtype=float)
-        nmin = np.array([self.n_min(int(k)) for k in ks], dtype=float)
-        upper = nmax * self.e_p + (ks - nmax) * self.e_c
-        lower = nmin * self.e_p + (ks - nmin) * self.e_c
-        return WorkloadCurvePair(
-            WorkloadCurve("upper", ks, upper), WorkloadCurve("lower", ks, lower)
-        )
+        nmax = [self.n_max(int(k)) for k in ks]
+        nmin = [self.n_min(int(k)) for k in ks]
+        return _two_mode_pair(ks, nmax, nmin, self.e_p, self.e_c)
 
     def wcet_only_curve(self, k_max: int = 64) -> WorkloadCurve:
         """The pessimistic baseline ``γ(k) = k·e_p`` ("WCET only" line of
@@ -143,14 +140,34 @@ def two_mode_curves(
     The callables must satisfy ``0 <= n_min(k) <= n_max(k) <= k`` and be
     monotone in ``k``; violations raise :class:`ValidationError`.
     """
+    k_max = check_integer(k_max, "k_max", minimum=1)
+    ks = np.arange(1, k_max + 1, dtype=np.int64)
+    nmax = [n_max(int(k)) for k in ks]
+    nmin = [n_min(int(k)) for k in ks]
+    return _two_mode_pair(ks, nmax, nmin, e_high, e_low)
+
+
+def _two_mode_pair(
+    ks: np.ndarray,
+    n_max: ArrayLike,
+    n_min: ArrayLike,
+    e_high: float,
+    e_low: float,
+) -> WorkloadCurvePair:
+    """The two-mode curves on the grid *ks* from the tabulated count bounds
+    ``n_max[i] = n_max(ks[i])`` and ``n_min[i] = n_min(ks[i])``.
+
+    The one implementation of the formula of :func:`two_mode_curves`, with
+    all of its validation; :meth:`PollingTask.curves` and
+    :func:`repro.scheduling.generator.random_variable_task_set` (which
+    tabulates its bounds as integer arrays) call it directly.
+    """
     check_positive(e_high, "e_high")
     check_positive(e_low, "e_low")
     if e_low > e_high:
         raise ValidationError("e_low must not exceed e_high")
-    k_max = check_integer(k_max, "k_max", minimum=1)
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
-    nmax = np.array([n_max(int(k)) for k in ks], dtype=float)
-    nmin = np.array([n_min(int(k)) for k in ks], dtype=float)
+    nmax = np.asarray(n_max, dtype=float)
+    nmin = np.asarray(n_min, dtype=float)
     if np.any(nmin < 0) or np.any(nmax > ks) or np.any(nmin > nmax):
         raise ValidationError("count bounds must satisfy 0 <= n_min(k) <= n_max(k) <= k")
     if np.any(np.diff(nmax) < 0) or np.any(np.diff(nmin) < 0):

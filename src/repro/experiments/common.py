@@ -229,9 +229,10 @@ def case_study_context(
 
     *frames* trades fidelity against runtime: 72 frames (≈3 s, six GOPs,
     ≈117 k macroblocks per clip) reproduces the paper's numbers; the
-    build takes about 6 s on a 2-vCPU x86-64 host, split between clip
-    generation and the workload-envelope and arrival-curve window
-    kernels.  Smaller values are used by quick tests.
+    build takes about 5-6 s on a 2-vCPU x86-64 host, most of it in the
+    workload-envelope and arrival-curve window kernels; generating the 14
+    clips takes about 1.3 s of it.  Smaller values are used by quick
+    tests.
 
     *stream_chunk* switches the workload-curve extraction to the
     bounded-memory streaming fold

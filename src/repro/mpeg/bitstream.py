@@ -39,6 +39,7 @@ from repro.mpeg.macroblock import (
     FrameType,
     Macroblock,
 )
+from repro.obs.metrics import registry
 from repro.util.validation import (
     ValidationError,
     check_in_range,
@@ -196,13 +197,11 @@ class SyntheticClip:
         motion = self._boost_b_frame_motion(rng, frame_code, coding, motion, motion_mb)
         texture = self._texture(rng, act_mb)
         bits = self._bits(rng, ftypes, frame_index, coding, coded_blocks, act_mb)
-        # keep every macroblock inside its class's declared bit bound so
-        # measured demands stay within the SPI intervals of the profile
-        for code, cls in enumerate(_CLASS_OF_CODE):
-            cap = self.pe1_model.cost(cls).max_bits
-            if cap > 0:
-                sel = coding == code
-                bits[sel] = np.minimum(bits[sel], cap)
+        # keep every macroblock inside its class's declared bit bound (zero
+        # declares none) so measured demands stay within the SPI intervals
+        # of the profile
+        caps = np.array([self.pe1_model.cost(cls).max_bits for cls in _CLASS_OF_CODE])
+        np.minimum(bits, np.where(caps > 0, caps, np.inf)[coding], out=bits)
 
         pe1 = self.pe1_model.cycles_array(coding, coded_blocks, motion, texture, bits)
         pe1 = self.pe1_model.apply_execution_jitter(rng, pe1)
@@ -438,11 +437,73 @@ class SyntheticClip:
 
 def _front_end_recursion(available: np.ndarray, service_time: np.ndarray) -> np.ndarray:
     """Completion times of a work-conserving single server: item *i* starts
-    at ``max(available[i], done[i-1])`` and takes ``service_time[i]``."""
-    done = np.empty(available.size)
-    prev = 0.0
-    for i in range(available.size):
+    at ``max(available[i], done[i-1])`` (``done[-1] = 0``) and takes
+    ``service_time[i]``.
+
+    Every value is the float of the per-item loop
+    ``done[i] = fl(max(available[i], done[i-1]) + service_time[i])``
+    (:func:`repro.reference.completion_times_brute`), computed by busy periods:
+
+    1. In real arithmetic ``done[i] = C[i] + max(0, max_{j<=i} key[j])``
+       with ``C`` the prefix sums of the service times and
+       ``key[j] = available[j] - C[j-1]``, so item *i* opens a busy period
+       when ``key[i]`` reaches that running maximum.  Float rounding only
+       makes these starts *candidates*.
+    2. Inside a period opened at *b*, ``done[b] = fl(available[b] +
+       service_time[b])`` and ``done[i] = fl(done[i-1] + service_time[i])``:
+       ``np.add.accumulate`` adds sequentially, so these are the loop's own
+       additions in the loop's order.  Periods are grouped by length into
+       power-of-two widths, one 2-D accumulate per width, which keeps the
+       work O(n) for any busy structure.
+    3. Each item is checked against the computed ``prev = done[i-1]``: the
+       loop takes ``available[i]`` at a start only if it is above ``prev``
+       (or the same float), and ``prev`` at any other item only if
+       ``available[i] <= prev``.  If every item passes, the result is the
+       loop's by induction; otherwise the prefix before the first failing
+       item is already exact and the plain loop finishes from there.
+
+    Counts the items of each path under
+    ``mpeg.front_end.items{path=vectorized|loop}``.
+    """
+    n = available.size
+    done = np.empty(n)
+    if n == 0:
+        return done
+    key = available - (np.cumsum(service_time) - service_time)
+    bar = np.maximum.accumulate(key)
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True  # the loop's item 0 starts at max(available[0], 0.0)
+    np.greater_equal(key[1:], np.maximum(bar[:-1], 0.0), out=opens[1:])
+    del key, bar
+    starts = np.flatnonzero(opens)
+    # done holds each item's increment, then (period by period) its result
+    np.copyto(done, service_time)
+    done[starts] += available[starts]
+    done[0] = (available[0] if available[0] > 0.0 else 0.0) + service_time[0]
+    lengths = np.diff(starts, append=n)
+    _, width_exp = np.frexp(lengths - 1)  # a period fits in 2**width_exp items
+    for e in range(1, int(width_exp.max()) + 1):
+        group = width_exp == e
+        offset = np.arange(1 << e)[:, None]
+        idx = np.minimum(starts[group] + offset, n - 1)
+        block = np.add.accumulate(done[idx], axis=0)
+        inside = offset < lengths[group]
+        done[idx[inside]] = block[inside]
+    del starts, lengths, width_exp
+    a, prev = available[1:], done[:-1]
+    ok = np.where(
+        opens[1:],
+        # on a tie the loop takes prev: the same float unless 0.0 == -0.0
+        (a > prev) | ((a == prev) & (np.signbit(a) == np.signbit(prev))),
+        a <= prev,
+    )
+    failed = np.flatnonzero(~ok)
+    first = n if failed.size == 0 else int(failed[0]) + 1
+    prev = done[first - 1]
+    for i in range(first, n):
         start = available[i] if available[i] > prev else prev
         prev = start + service_time[i]
         done[i] = prev
+    registry.counter("mpeg.front_end.items", path="vectorized").inc(first)
+    registry.counter("mpeg.front_end.items", path="loop").inc(n - first)
     return done

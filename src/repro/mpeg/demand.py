@@ -109,6 +109,14 @@ class StageDemandModel:
         check_non_negative(stall_extra, "stall_extra")
         self.name = name
         self._costs = dict(costs)
+        # the cost expression's coefficients, one column per coding code
+        # (the enum order), so a per-macroblock lookup is one gather
+        self._coefficients = np.array(
+            [
+                [c.base, c.per_coded_block, c.motion_weight, c.texture_weight, c.per_bit]
+                for c in (self._costs[cls] for cls in CodingClass)
+            ]
+        ).T
         self.jitter = (float(lo), float(hi))
         self.stall_probability = float(stall_probability)
         self.stall_extra = float(stall_extra)
@@ -140,22 +148,20 @@ class StageDemandModel:
         """Vectorized :meth:`cycles`.
 
         *coding* is an integer array of :class:`CodingClass` codes
-        (0 = intra, 1 = inter, 2 = skipped, the order of the enum).
+        (0 = intra, 1 = inter, 2 = skipped, the order of the enum); any
+        other code raises :class:`ValidationError`.
         """
-        classes = list(CodingClass)
-        base = np.empty(coding.shape)
-        pcb = np.empty(coding.shape)
-        mot = np.empty(coding.shape)
-        tex = np.empty(coding.shape)
-        pbit = np.empty(coding.shape)
-        for code, cls in enumerate(classes):
-            c = self._costs[cls]
-            sel = coding == code
-            base[sel] = c.base
-            pcb[sel] = c.per_coded_block
-            mot[sel] = c.motion_weight
-            tex[sel] = c.texture_weight
-            pbit[sel] = c.per_bit
+        codes = np.asarray(coding)
+        n_codes = self._coefficients.shape[1]
+        if codes.size and not (
+            np.issubdtype(codes.dtype, np.integer)
+            and codes.min() >= 0
+            and codes.max() < n_codes
+        ):
+            raise ValidationError(
+                f"coding codes must be integers in [0, {n_codes - 1}]"
+            )
+        base, pcb, mot, tex, pbit = (row.take(codes) for row in self._coefficients)
         return base + pcb * coded_blocks + mot * motion + tex * texture + pbit * bits
 
     def apply_execution_jitter(

@@ -421,8 +421,11 @@ def simulation_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     high-water marks, overflow counts, and PE busy time
     (``sim.chain.high_water{stage=k}`` etc.; the two-PE pipeline is a
     one-stage chain, so it reports as stage 0), and workload-generator
-    output by arrival model (``sim.workload.items{model=...}``).  All
-    empty when no simulation ran — ``obs report`` skips the section then.
+    output by arrival model (``sim.workload.items{model=...}``), and the
+    synthetic clips' PE1 recursion items by path
+    (``mpeg.front_end.items{path=vectorized|loop}`` under ``front_end``).
+    All empty when no simulation ran — ``obs report`` skips the section
+    then.
     """
     stages: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("gauges", ()):
@@ -446,6 +449,7 @@ def simulation_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
             "stages": dict(sorted(stages.items())),
         },
         "workload_items": _group_counters(snapshot, "sim.workload.items", "model"),
+        "front_end": _group_counters(snapshot, "mpeg.front_end.items", "path"),
     }
 
 

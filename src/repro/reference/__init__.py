@@ -9,6 +9,16 @@ vectorized kernels in :mod:`repro.curves.minplus`,
 :mod:`repro.scheduling.rms` against these on hundreds of randomized and
 degenerate inputs, with the kernel cache both on and off.
 
+* :mod:`~repro.reference.envelope` — window sums, workload-curve
+  evaluation and pseudo-inverses (``*_brute`` of Definition 1);
+* :mod:`~repro.reference.minplus` — min-plus convolution/deconvolution
+  at a point, curve evaluation and shape tests;
+* :mod:`~repro.reference.scheduling` — the Lehoczky RMS scan
+  (``rms_test_brute``);
+* :mod:`~repro.reference.server` — the work-conserving single-server
+  recursion (``completion_times_brute``) behind the synthetic clips' PE1
+  output times.
+
 Never call these from production code paths.
 """
 
@@ -26,6 +36,7 @@ from repro.reference.minplus import (
     is_convex_brute,
 )
 from repro.reference.scheduling import rms_test_brute
+from repro.reference.server import completion_times_brute
 
 __all__ = [
     "convolve_at_brute",
@@ -38,4 +49,5 @@ __all__ = [
     "workload_eval_brute",
     "pseudo_inverse_brute",
     "rms_test_brute",
+    "completion_times_brute",
 ]

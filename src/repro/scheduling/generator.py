@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from repro.core.analytical import two_mode_curves
+from repro.core.analytical import _two_mode_pair
 from repro.scheduling.task import PeriodicTask, TaskSet
 from repro.util.validation import ValidationError, check_integer, check_positive
 
@@ -97,6 +97,8 @@ def random_variable_task_set(
         raise ValidationError("heavy_ratio_range must satisfy 1 < low <= high")
     lo_m, hi_m = heavy_every_range
     check_integer(lo_m, "heavy_every low", minimum=2)
+    k_max = check_integer(k_max, "k_max", minimum=1)
+    ks = np.arange(1, k_max + 1, dtype=np.int64)
     tasks = []
     metadata: dict[str, tuple[int, float]] = {}
     for t in base:
@@ -104,12 +106,11 @@ def random_variable_task_set(
         m = int(rng.integers(lo_m, hi_m + 1))
         e_heavy = t.wcet
         e_light = e_heavy / ratio
-        curves = two_mode_curves(
-            lambda k, m=m: min(k, 1 + (k - 1) // m),
-            lambda k, m=m: k // m,
-            e_heavy,
-            e_light,
-            k_max=k_max,
+        # at most one heavy activation in every m consecutive; the bounds
+        # are exact integer arrays, so the curves are the floats the
+        # callables min(k, 1 + (k-1) // m) and k // m give two_mode_curves
+        curves = _two_mode_pair(
+            ks, np.minimum(ks, 1 + (ks - 1) // m), ks // m, e_heavy, e_light
         )
         tasks.append(PeriodicTask(t.name, t.period, t.wcet, curves=curves))
         metadata[t.name] = (m, e_light)

@@ -31,6 +31,33 @@ class TestStageDemandModel:
         )
         assert scalar == pytest.approx(vector[0])
 
+    def test_table_matches_per_class_expression(self):
+        """One coefficient gather per macroblock gives the floats of the
+        scalar cost expression, class by class."""
+        rng = np.random.default_rng(3)
+        n = 500
+        coding = rng.integers(0, 3, n)
+        cbc = rng.integers(0, 7, n)
+        motion, texture = rng.uniform(size=n), rng.uniform(size=n)
+        bits = rng.uniform(24.0, 6000.0, n)
+        for model in (VLD_IQ_MODEL, IDCT_MC_MODEL):
+            got = model.cycles_array(coding, cbc, motion, texture, bits)
+            classes = list(CodingClass)
+            for i in range(n):
+                c = model.cost(classes[coding[i]])
+                want = (
+                    c.base + c.per_coded_block * cbc[i] + c.motion_weight * motion[i]
+                    + c.texture_weight * texture[i] + c.per_bit * bits[i]
+                )
+                assert got[i] == want
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_unknown_coding_code_rejected(self, bad):
+        coding = np.array([0, bad, 1, 2])
+        ones = np.ones(4)
+        with pytest.raises(ValidationError, match="coding codes"):
+            IDCT_MC_MODEL.cycles_array(coding, ones, ones, ones, ones)
+
     def test_interval_contains_all_attribute_combos(self):
         rng = np.random.default_rng(0)
         for model in (VLD_IQ_MODEL, IDCT_MC_MODEL):

@@ -281,6 +281,8 @@ class TestSimulationBreakdown:
         reg.gauge("sim.chain.high_water", stage=1).set_max(3)
         reg.counter("sim.chain.busy_seconds", stage=1).add(2.5)
         reg.counter("sim.workload.items", model="poisson").inc(512)
+        reg.counter("mpeg.front_end.items", path="vectorized").inc(1620)
+        reg.counter("mpeg.front_end.items", path="loop").inc(0)
         # nine simultaneous arrivals into a 4-slot FIFO: five overflow
         replay_pipeline(np.zeros(9), np.ones(9), 1.0, capacity=4)
         sim = simulation_breakdown(reg.snapshot())
@@ -293,14 +295,16 @@ class TestSimulationBreakdown:
         }
         assert sim["chain"]["stages"]["1"] == {"high_water": 3, "busy_seconds": 2.5}
         assert sim["workload_items"] == {"poisson": 512}
-        assert set(sim) == {"chain", "workload_items"}
+        assert sim["front_end"] == {"loop": 0, "vectorized": 1620}
+        assert set(sim) == {"chain", "workload_items", "front_end"}
 
     def test_empty_snapshot_is_empty(self):
         sim = simulation_breakdown(MetricsRegistry().snapshot())
         assert sim["chain"]["runs"] == {}
         assert sim["chain"]["stages"] == {}
         assert sim["workload_items"] == {}
-        assert set(sim) == {"chain", "workload_items"}
+        assert sim["front_end"] == {}
+        assert set(sim) == {"chain", "workload_items", "front_end"}
 
 
 class TestWindowBreakdown:

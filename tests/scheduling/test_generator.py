@@ -4,6 +4,7 @@ tests validating the analytic tests against simulation on random sets."""
 import numpy as np
 import pytest
 
+from repro.core.analytical import two_mode_curves
 from repro.scheduling.generator import (
     random_task_set,
     random_variable_task_set,
@@ -68,6 +69,28 @@ class TestRandomVariableTaskSet:
             task = ts.by_name(name)
             assert 2 <= m <= 6
             assert 0 < e_light < task.wcet
+
+    @pytest.mark.parametrize("k_max", [1, 7, 256])
+    def test_count_arrays_match_lambda_construction(self, k_max):
+        """The tabulated count bounds give the curves of the callable
+        construction through ``two_mode_curves``, bit for bit."""
+        ts = random_variable_task_set(6, 0.9, np.random.default_rng(12), k_max=k_max)
+        rng = np.random.default_rng(12)
+        base = random_task_set(6, 0.9, rng)
+        assert len(ts) == len(base)
+        for task, ref_task in zip(ts, base):
+            ratio = rng.uniform(2.0, 8.0)
+            m = int(rng.integers(2, 7))
+            ref = two_mode_curves(
+                lambda k: min(k, 1 + (k - 1) // m),
+                lambda k: k // m,
+                ref_task.wcet,
+                ref_task.wcet / ratio,
+                k_max=k_max,
+            )
+            for got, want in ((task.curves.upper, ref.upper), (task.curves.lower, ref.lower)):
+                assert got.k_values.tobytes() == want.k_values.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestPopulationProperties:

@@ -222,6 +222,22 @@ class TestObsCli:
             in out
         )
 
+    def test_report_front_end_line(self, capsys, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        reg.counter("mpeg.front_end.items", path="vectorized").inc(2_566_000)
+        reg.counter("mpeg.front_end.items", path="loop").inc(80)
+        metrics = tmp_path / "front_end.json"
+        metrics.write_text(json.dumps(reg.snapshot()))
+        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "front-end recursion items 2566080: vectorized 2566000, loop 80 (0.0% loop)"
+            in out
+        )
+        assert "Simulation engine" not in out  # no chain or workload rows
+
     def test_report_rejects_wrong_schema(self, capsys, tmp_path):
         bad = tmp_path / "not_metrics.json"
         bad.write_text('{"schema": "something/else"}')
