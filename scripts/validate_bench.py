@@ -17,11 +17,14 @@ report both window-kernel speedups at or above the gate's 1.5x.  ``BENCH_sim.jso
 simulation-engine gates: the N-stage chain replay must cover at least a
 million stage-events and beat the event-driven oracle by its gate
 factor, the kernel's sorted bulk loader must beat per-event pushes, and
-the clips' busy-period PE1 recursion must beat the per-item loop 3x.  When a trajectory store exists, every
-BENCH section naming a backend is additionally cross-checked against the
-latest trajectory record's backend claims, so a BENCH file regenerated
-under a different backend cannot silently desynchronize from the history
-(see ``repro.obs.trajectory``).
+the clips' busy-period PE1 recursion must beat the per-item loop 3x.
+``BENCH_runner.json``'s ``sweep_validation`` section must carry its
+keys, and its same-seed sweep-validation points must run at least 2x
+faster with the kernel memo than without it.  When a trajectory store
+exists, every BENCH section naming a backend is additionally
+cross-checked against the latest trajectory record's backend claims, so
+a BENCH file regenerated under a different backend cannot silently
+desynchronize from the history (see ``repro.obs.trajectory``).
 
 Usage::
 
@@ -178,6 +181,20 @@ SIM_SPEEDUP_FLOORS = {
 }
 
 
+#: Required keys of the sweep-validation section of BENCH_runner.json
+#: (``test_sweep_validation_memo_speedup``) and the floor of its speedup.
+SWEEP_VALIDATION_KEYS = {
+    "points",
+    "sim_items",
+    "memo_on_ms_per_point",
+    "memo_off_ms_per_point",
+    "speedup",
+    "min_window_hits",
+    "min_window_misses",
+}
+SWEEP_VALIDATION_FLOOR = 2.0
+
+
 def fail(message: str) -> None:
     sys.exit(f"validate_bench: {message}")
 
@@ -326,6 +343,21 @@ def validate_sim(path: Path) -> None:
         )
 
 
+def validate_runner(path: Path) -> None:
+    report = json.loads(path.read_text(encoding="utf-8"))
+    section = report.get("sweep_validation")
+    if section is None:
+        fail(f"{path}: missing gate section 'sweep_validation'")
+    missing = SWEEP_VALIDATION_KEYS - section.keys()
+    if missing:
+        fail(f"{path}: sweep_validation: missing keys {sorted(missing)}")
+    if section["speedup"] < SWEEP_VALIDATION_FLOOR:
+        fail(
+            f"{path}: sweep_validation: speedup {section['speedup']:.2f}x "
+            f"below the {SWEEP_VALIDATION_FLOOR}x gate"
+        )
+
+
 def validate_trajectory_backends(bench_dir: Path, trajectory_path: Path) -> int:
     """Cross-check BENCH backends against the latest trajectory record.
 
@@ -409,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
             validate_service(path)
         if path.name == "BENCH_sim.json":
             validate_sim(path)
+        if path.name == "BENCH_runner.json":
+            validate_runner(path)
         print(f"{path}: {sections} sections ok")
     trajectory_path = args.trajectory or args.bench_dir / "TRAJECTORY.jsonl"
     checked = validate_trajectory_backends(args.bench_dir, trajectory_path)

@@ -733,11 +733,19 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"lookups={cache['lookups']} hit_ratio={cache['hit_ratio']:.1%} "
             f"bypasses={cache['bypasses']}"
         )
+        if cache["per_op"]:
+            print()
+            table = TextTable(
+                ["op", "hits", "misses", "bypasses"], title="Cache traffic per op"
+            )
+            for op, row in cache["per_op"].items():
+                table.add_row(
+                    [op] + [_fmt(float(row[f])) for f in ("hits", "misses", "bypasses")]
+                )
+            print(table.render())
         memo = dispatch["memo"]
         dispatch_ok = (
-            total_dispatches == memo["misses"] - cache["disk"]
-            if cache["disk"]
-            else total_dispatches == memo["misses"]
+            total_dispatches == memo["misses"] - cache["disk"] + memo["bypasses"]
         )
         print(
             f"consistency: memory+disk+miss = {tiers_total} "
@@ -746,6 +754,7 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"{'==' if dispatch_ok else '!='} "
             f"{memo['misses']} minplus memo misses"
             + (f" - {cache['disk']} disk promotions" if cache["disk"] else "")
+            + (f" + {memo['bypasses']} bypasses" if memo["bypasses"] else "")
         )
         window = report["window"]
         if window["lengths"]:

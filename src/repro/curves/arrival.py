@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.curves.curve import PiecewiseLinearCurve, step_curve
+from repro.perf.cache import digest_of, kernel_cache
 from repro.util.staircase import _window_extrema
 from repro.util.validation import (
     ValidationError,
@@ -109,12 +110,15 @@ def minimal_window_lengths(
     events of the trace: ``d_n = min_i (t[i+n-1] - t[i])``.
 
     Returns ``(n_values, d)``; *n_values* defaults to ``1..N``.  This is the
-    exact information content of the trace's upper arrival curve.
+    exact information content of the trace's upper arrival curve.  Results
+    are memoized by content digest of ``(timestamps, n_values)``, like
+    :func:`~repro.util.staircase.cumulative_envelope_minmax`: a trace
+    characterized again (the validation trace of every point of a
+    ``sweep --sim-validate`` on one seed) is a cache hit.
     """
     ts = _check_timestamps(timestamps)
     ns = _check_n_values(n_values, ts.size)
-    (d,) = _window_extrema(ts, ns - 1, "min_window", maximum=False)
-    return ns, d
+    return ns, _window_lengths(ts, ns, "min_window")
 
 
 def maximal_window_lengths(
@@ -122,11 +126,24 @@ def maximal_window_lengths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each event count ``n`` the maximal span of ``n`` consecutive
     events: ``D_n = max_i (t[i+n-1] - t[i])`` — the dual of
-    :func:`minimal_window_lengths`, used for the lower arrival curve."""
+    :func:`minimal_window_lengths`, used for the lower arrival curve, and
+    memoized the same way."""
     ts = _check_timestamps(timestamps)
     ns = _check_n_values(n_values, ts.size)
-    (d,) = _window_extrema(ts, ns - 1, "max_window", minimum=False)
-    return ns, d
+    return ns, _window_lengths(ts, ns, "max_window")
+
+
+def _window_lengths(ts: np.ndarray, ns: np.ndarray, op: str) -> np.ndarray:
+    """The memoized window-span extremum of both window-length functions;
+    *op* is ``"min_window"`` or ``"max_window"``."""
+    minimum = op == "min_window"
+
+    def compute() -> np.ndarray:
+        (d,) = _window_extrema(ts, ns - 1, op, minimum=minimum, maximum=not minimum)
+        return d
+
+    key = (f"curves.{op}", digest_of(ts, ns))
+    return kernel_cache.get_or_compute(key, compute, copy=True)
 
 
 def from_trace_upper(
@@ -148,37 +165,22 @@ def from_trace_upper(
     representative.  Pass ``0.0`` to assert "nothing beyond the trace".
     """
     ns, d = minimal_window_lengths(timestamps, n_values)
-    # conservative fill for subsampled counts: value at d[i] covers all
-    # counts up to the next sampled n minus one
-    values = ns.astype(float).copy()
-    if ns.size > 1:
-        values[:-1] = (ns[1:] - 1).astype(float)
-        values = np.maximum(values, ns.astype(float))
-    xs: list[float] = []
-    ys: list[float] = []
-    best = 0.0
-    for pos, val in zip(d, values):
-        if not xs:
-            xs.append(float(pos) if pos == 0.0 else 0.0)
-            if pos > 0.0:
-                ys.append(0.0)
-                xs.append(float(pos))
-            ys.append(float(val))
-            best = val
-            continue
-        if val <= best:
-            continue
-        if pos == xs[-1]:
-            ys[-1] = float(val)
-        else:
-            xs.append(float(pos))
-            ys.append(float(val))
-        best = val
-    slopes = np.zeros(len(xs))
+    # conservative fill for subsampled counts: the value at d[i] covers
+    # every count up to the next sampled n minus one.  Those values
+    # strictly increase and d never decreases, so the staircase has one
+    # step per run of equal d: at the run's first d (a -0.0 stays -0.0),
+    # as high as the count filled at the run's last entry.
+    first = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    xs = d[first]
+    ys = np.append(ns[first[1:]] - 1, ns[-1]).astype(float)
+    if d[0] > 0.0:
+        xs = np.concatenate(([0.0], xs))
+        ys = np.concatenate(([0.0], ys))
+    slopes = np.zeros(xs.size)
     if final_rate is None:
         final_rate = float(ns[-1]) / float(d[-1]) if d[-1] > 0 else 0.0
     slopes[-1] = check_non_negative(final_rate, "final_rate")
-    return PiecewiseLinearCurve(np.array(xs), np.array(ys), slopes)
+    return PiecewiseLinearCurve(xs, ys, slopes)
 
 
 def from_trace_lower(

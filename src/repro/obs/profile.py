@@ -303,7 +303,7 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
 
     Returns, per curve operator, how many cache-missed dispatches took
     each regime (``minplus.dispatch{op, regime}``), compaction activity,
-    and the min-plus memo hit/miss totals.
+    and the memo hit/miss/bypass totals of the two ops that dispatch.
     """
     regimes: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("counters", ()):
@@ -313,14 +313,11 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
         regime = str(entry["labels"].get("regime"))
         per_op = regimes.setdefault(op, {})
         per_op[regime] = per_op.get(regime, 0) + entry["value"]
-    memo_hits: int | float = 0
-    memo_misses: int | float = 0
-    for entry in snapshot.get("counters", ()):
-        if str(entry["labels"].get("op", "")).startswith("minplus."):
-            if entry["name"] == "cache.op.hits":
-                memo_hits += entry["value"]
-            elif entry["name"] == "cache.op.misses":
-                memo_misses += entry["value"]
+    memo: dict[str, int | float] = dict.fromkeys(_CACHE_OP_FIELDS, 0)
+    for op, row in _cache_per_op(snapshot).items():
+        if op in _DISPATCHING_OPS:
+            for field in _CACHE_OP_FIELDS:
+                memo[field] += row[field]
     return {
         "regimes": {op: dict(sorted(r.items())) for op, r in sorted(regimes.items())},
         "compaction": {
@@ -328,14 +325,13 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
             "noops": _sum_counters(snapshot, "compact.noop"),
             "segments_dropped": _sum_counters(snapshot, "compact.segments_dropped"),
         },
-        # cache traffic scoped to the min-plus kernels (``cache.op.*`` with
-        # a ``minplus.*`` op): absent disk promotions, every memo miss runs
-        # exactly one dispatch, so regime counts sum to ``memo["misses"]``
-        "memo": {
-            "lookups": memo_hits + memo_misses,
-            "hits": memo_hits,
-            "misses": memo_misses,
-        },
+        # cache traffic scoped to the dispatching min-plus kernels
+        # (``cache.op.*`` of ``minplus.convolve``/``minplus.deconvolve``;
+        # ``minplus.self_fixpoint`` dispatches only through its inner
+        # convolutions): absent disk promotions, every memo miss and every
+        # bypass (a lookup with the cache disabled) runs exactly one
+        # dispatch, so regime counts sum to ``misses + bypasses``
+        "memo": {"lookups": memo["hits"] + memo["misses"], **memo},
     }
 
 
@@ -348,6 +344,9 @@ def cache_tiers(snapshot: dict[str, Any]) -> dict[str, Any]:
     ``memory + disk + miss == lookups`` holds by construction — the
     consistency line ``obs report`` prints.  ``bypasses`` counts
     lookups made while the cache was disabled (not part of the sum).
+    ``per_op`` splits the traffic by operation name
+    (``cache.op.{hits,misses,bypasses}{op}``): ``{op: {hits, misses,
+    bypasses}}``, the table ``obs report`` prints under "Cache tiers".
     """
     memory = _sum_counters(snapshot, "cache.hits")
     lookups = _sum_counters(snapshot, "cache.calls")
@@ -363,7 +362,23 @@ def cache_tiers(snapshot: dict[str, Any]) -> dict[str, Any]:
         "bypasses": _sum_counters(snapshot, "cache.bypasses"),
         "hit_ratio": ((memory + disk) / lookups) if lookups else 0.0,
         "consistent": memory + disk + miss == lookups,
+        "per_op": _cache_per_op(snapshot),
     }
+
+
+#: The per-operation memo counters, ``cache.op.<field>{op}``.
+_CACHE_OP_FIELDS = ("hits", "misses", "bypasses")
+#: The memoized ops whose every computation counts one ``minplus.dispatch``.
+_DISPATCHING_OPS = ("minplus.convolve", "minplus.deconvolve")
+
+
+def _cache_per_op(snapshot: dict[str, Any]) -> dict[str, dict[str, int | float]]:
+    """``{op: {hits, misses, bypasses}}`` out of the ``cache.op.*`` series."""
+    per_op: dict[str, dict[str, int | float]] = {}
+    for field in _CACHE_OP_FIELDS:
+        for op, value in _group_counters(snapshot, f"cache.op.{field}", "op").items():
+            per_op.setdefault(op, dict.fromkeys(_CACHE_OP_FIELDS, 0))[field] = value
+    return dict(sorted(per_op.items()))
 
 
 def service_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:

@@ -99,6 +99,7 @@ class KernelCache:
         self.disk = None
         self._store: OrderedDict[Hashable, Any] = OrderedDict()
         self._per_op: dict[str, dict[str, int]] = {}
+        self._per_op_bypasses: dict[str, int] = {}
         self._lock = threading.Lock()
 
     # -- core ------------------------------------------------------------------
@@ -112,12 +113,13 @@ class KernelCache:
         returned on both hits and misses, so callers can never mutate the
         cached master.
         """
+        op = key[0]
         if not self.enabled:
             with self._lock:
                 self.bypasses += 1
+                self._per_op_bypasses[op] = self._per_op_bypasses.get(op, 0) + 1
             value = compute()
             return value.copy() if copy else value
-        op = key[0]
         with self._lock:
             value = self._store.get(key, _SENTINEL)
             counters = self._per_op.setdefault(op, {"hits": 0, "misses": 0})
@@ -156,12 +158,15 @@ class KernelCache:
         with self._lock:
             self.hits = self.misses = self.evictions = self.bypasses = 0
             self._per_op.clear()
+            self._per_op_bypasses.clear()
 
     def stats(self) -> dict[str, Any]:
         """Snapshot of the accounting state.
 
         ``calls`` counts every :meth:`get_or_compute` with the cache
-        enabled, so ``hits + misses == calls`` always holds.
+        enabled, so ``hits + misses == calls`` always holds.  ``per_op``
+        splits hits and misses by operation name, ``per_op_bypasses`` the
+        lookups made while the cache was disabled.
         """
         with self._lock:
             out = {
@@ -174,6 +179,7 @@ class KernelCache:
                 "evictions": self.evictions,
                 "bypasses": self.bypasses,
                 "per_op": {op: dict(c) for op, c in self._per_op.items()},
+                "per_op_bypasses": dict(self._per_op_bypasses),
             }
             disk = self.disk
         if disk is not None:
@@ -206,6 +212,8 @@ def _publish_cache_metrics(registry) -> None:
     for op, counters in stats_now["per_op"].items():
         registry.counter("cache.op.hits", op=op).set_total(counters["hits"])
         registry.counter("cache.op.misses", op=op).set_total(counters["misses"])
+    for op, count in stats_now["per_op_bypasses"].items():
+        registry.counter("cache.op.bypasses", op=op).set_total(count)
     disk_stats = stats_now.get("disk")
     if disk_stats is not None:
         for key in ("hits", "misses", "writes", "evictions", "errors", "migrated"):

@@ -5,14 +5,18 @@ straight from the paper's definitions with plain Python loops and no
 shared code with the fast paths.  They exist solely as oracles: the
 differential test suite (``tests/reference/``) checks the memoized /
 vectorized kernels in :mod:`repro.curves.minplus`,
-:mod:`repro.util.staircase`, :mod:`repro.core.workload` and
-:mod:`repro.scheduling.rms` against these on hundreds of randomized and
-degenerate inputs, with the kernel cache both on and off.
+:mod:`repro.util.staircase`, :mod:`repro.core.workload`,
+:mod:`repro.curves.arrival` and :mod:`repro.scheduling.rms` against
+these on hundreds of randomized and degenerate inputs, with the kernel
+cache both on and off.
 
 * :mod:`~repro.reference.envelope` — window sums, workload-curve
   evaluation and pseudo-inverses (``*_brute`` of Definition 1);
 * :mod:`~repro.reference.minplus` — min-plus convolution/deconvolution
   at a point, curve evaluation and shape tests;
+* :mod:`~repro.reference.arrival` — the per-element upper staircase of a
+  trace from its minimal window lengths (``trace_staircase_brute``),
+  behind :func:`repro.curves.arrival.from_trace_upper`;
 * :mod:`~repro.reference.scheduling` — the Lehoczky RMS scan
   (``rms_test_brute``);
 * :mod:`~repro.reference.server` — the work-conserving single-server
@@ -22,6 +26,7 @@ degenerate inputs, with the kernel cache both on and off.
 Never call these from production code paths.
 """
 
+from repro.reference.arrival import trace_staircase_brute
 from repro.reference.envelope import (
     pseudo_inverse_brute,
     window_sums_brute,
@@ -50,4 +55,5 @@ __all__ = [
     "pseudo_inverse_brute",
     "rms_test_brute",
     "completion_times_brute",
+    "trace_staircase_brute",
 ]

@@ -47,10 +47,14 @@ def test_curves_bound_every_window(demands):
 def test_upper_subadditive_lower_superadditive(demands):
     pair = WorkloadCurvePair.from_demand_array(demands)
     n = len(demands)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1 - a):
-            assert pair.upper(a + b) <= pair.upper(a) + pair.upper(b) + 1e-9
-            assert pair.lower(a + b) >= pair.lower(a) + pair.lower(b) - 1e-9
+    ks = np.arange(0, n + 1)
+    up, lo = pair.upper(ks), pair.lower(ks)
+    # every (a, b) with a, b >= 1 and a + b <= n, each curve evaluated once
+    a, b = np.meshgrid(ks[1:], ks[1:], indexing="ij")
+    pairs = a + b <= n
+    a, b = a[pairs], b[pairs]
+    assert np.all(up[a + b] <= up[a] + up[b] + 1e-9)
+    assert np.all(lo[a + b] >= lo[a] + lo[b] - 1e-9)
 
 
 @given(demands_lists, st.floats(min_value=0.0, max_value=1e4))

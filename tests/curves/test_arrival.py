@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.perf as perf
 from repro.curves.arrival import (
     from_trace_lower,
     from_trace_upper,
@@ -16,6 +17,7 @@ from repro.curves.arrival import (
     periodic_lower,
     periodic_upper,
 )
+from repro.reference import trace_staircase_brute
 from repro.util.validation import ValidationError
 
 
@@ -152,3 +154,109 @@ class TestFromTrace:
     def test_lower_trivial_for_tiny_trace(self):
         lo = from_trace_lower([0.0, 1.0])
         assert lo(100.0) == 0.0
+
+
+@st.composite
+def _traces(draw):
+    """Timestamped traces with their ``n_values`` grid and ``final_rate``:
+    exponential, tied-integer or all-equal gaps, opened by a run of up to
+    four simultaneous events, either shifted by 1e6 or starting at zero,
+    where the opening zeros may carry either sign."""
+    n = draw(st.integers(min_value=1, max_value=160))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    family = draw(st.sampled_from(["exponential", "tied", "equal"]))
+    if family == "exponential":
+        gaps = rng.exponential(1.0, n)
+    elif family == "tied":
+        gaps = rng.integers(0, 3, n).astype(float)
+    else:
+        gaps = np.zeros(n)
+    gaps[: draw(st.integers(min_value=1, max_value=4))] = 0.0
+    ts = np.cumsum(gaps)
+    if draw(st.booleans()):
+        ts += 1e6
+    elif draw(st.booleans()):
+        zeros = np.flatnonzero(ts == 0.0)
+        ts[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
+    n_values = None
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=1, max_value=n))
+        n_values = np.sort(rng.choice(np.arange(1, n + 1), size=size, replace=False))
+    return ts, n_values, draw(st.sampled_from([None, 0.0, 2.5]))
+
+
+class TestStaircaseOracle:
+    @settings(max_examples=300)
+    @given(_traces())
+    def test_upper_equals_the_per_element_loop_bitwise(self, case):
+        ts, n_values, final_rate = case
+        curve = from_trace_upper(ts, n_values=n_values, final_rate=final_rate)
+        ns, d = minimal_window_lengths(ts, n_values)
+        xs, ys, slopes = trace_staircase_brute(ns, d, final_rate)
+        assert curve.breakpoints.tobytes() == np.array(xs).tobytes()
+        assert curve.values_at_breakpoints.tobytes() == np.array(ys).tobytes()
+        assert curve.slopes.tobytes() == np.array(slopes).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_values, first_sign", [([2, 3, 4], True), (None, False)]
+    )
+    def test_a_step_sits_at_its_runs_first_window(self, n_values, first_sign):
+        """t[1] - t[0] = -0.0 - 0.0 = -0.0.  Sampled from n = 2, the first
+        window is -0.0 and stays so; sampled from n = 1, the run of zero
+        windows opens with +0.0 and the step sits there."""
+        ts = np.array([0.0, -0.0, 1.0, 2.5])
+        ns, d = minimal_window_lengths(ts, n_values)
+        curve = from_trace_upper(ts, n_values=n_values)
+        assert bool(np.signbit(curve.breakpoints[0])) is first_sign
+        xs, ys, _ = trace_staircase_brute(ns, d)
+        assert curve.breakpoints.tobytes() == np.array(xs).tobytes()
+        assert curve.values_at_breakpoints.tobytes() == np.array(ys).tobytes()
+
+
+class TestWindowLengthMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        perf.reset()
+        perf.configure(enabled=True)
+        yield
+        perf.reset()
+        perf.configure(enabled=True)
+
+    @pytest.mark.parametrize(
+        "fn, op",
+        [
+            (minimal_window_lengths, "curves.min_window"),
+            (maximal_window_lengths, "curves.max_window"),
+        ],
+    )
+    def test_mutating_a_result_leaves_later_hits_intact(self, fn, op):
+        ts = np.cumsum(np.random.default_rng(11).exponential(1.0, 300))
+        _, d = fn(ts)
+        expected = d.copy()
+        d[:] = -1.0
+        _, again = fn(ts)
+        assert perf.cache_stats()["per_op"][op] == {"hits": 1, "misses": 1}
+        assert again.tobytes() == expected.tobytes()
+
+    def test_sweep_points_on_one_seed_extract_the_trace_once(self, small_context):
+        from repro.runner.tasks import frequency_backlog_point
+
+        def points():
+            return [
+                frequency_backlog_point(
+                    buffer_size=b,
+                    frames=12,
+                    dense_limit=512,
+                    growth=1.05,
+                    sim_validate=True,
+                    sim_items=1024,
+                    sim_seed=3,
+                ).data
+                for b in (810, 1620)
+            ]
+
+        memo_on = points()
+        assert perf.cache_stats()["per_op"]["curves.min_window"] == {"hits": 1, "misses": 1}
+        perf.configure(enabled=False)
+        memo_off = points()
+        assert memo_on == memo_off

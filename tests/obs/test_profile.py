@@ -212,7 +212,18 @@ class TestDispatchAndCache:
             "generic": 2,
         }
         assert dispatch["regimes"]["deconvolve"] == {"generic": 1}
-        assert dispatch["memo"] == {"lookups": 20, "hits": 8, "misses": 12}
+        assert dispatch["memo"] == {"lookups": 20, "hits": 8, "misses": 12, "bypasses": 0}
+
+    def test_memo_counts_dispatching_ops_only(self):
+        reg = self._registry()
+        reg.counter("cache.op.bypasses", op="minplus.convolve").inc(3)
+        reg.counter("cache.op.bypasses", op="curves.min_window").inc(5)
+        # the fixpoint dispatches only through its inner convolutions
+        reg.counter("cache.op.misses", op="minplus.self_fixpoint").inc(1)
+        dispatch = dispatch_breakdown(reg.snapshot())
+        assert dispatch["memo"]["bypasses"] == 3
+        assert dispatch["memo"]["misses"] == 12
+        assert dispatch["memo"]["lookups"] == 20  # a bypass is no lookup
 
     def test_cache_tiers_sum_to_lookups(self):
         cache = cache_tiers(self._registry().snapshot())
@@ -222,6 +233,16 @@ class TestDispatchAndCache:
         assert cache["memory"] + cache["disk"] + cache["miss"] == cache["lookups"]
         assert cache["consistent"] is True
         assert cache["hit_ratio"] == pytest.approx(12 / 20)
+
+    def test_cache_per_op_rows(self):
+        reg = self._registry()
+        reg.counter("cache.op.hits", op="curves.min_window").inc(11)
+        reg.counter("cache.op.misses", op="curves.min_window").inc(1)
+        reg.counter("cache.op.bypasses", op="minplus.convolve").inc(2)
+        per_op = cache_tiers(reg.snapshot())["per_op"]
+        assert list(per_op) == ["curves.min_window", "minplus.convolve"]
+        assert per_op["curves.min_window"] == {"hits": 11, "misses": 1, "bypasses": 0}
+        assert per_op["minplus.convolve"] == {"hits": 8, "misses": 12, "bypasses": 2}
 
     def test_worker_origin_series_fold_in(self):
         reg = self._registry()

@@ -12,6 +12,7 @@ from repro.curves.arrival import leaky_bucket
 from repro.curves.curve import PiecewiseLinearCurve, step_curve
 from repro.curves.minplus import convolve, deconvolve, self_convolution_fixpoint
 from repro.curves.service import rate_latency
+from repro.obs.metrics import registry
 from repro.perf.cache import KernelCache, digest_of, kernel_cache
 from repro.util.staircase import (
     cumulative_envelope_max,
@@ -62,6 +63,26 @@ class TestCounterAccounting:
         stats = perf.cache_stats()
         assert stats["calls"] == 0
         assert stats["bypasses"] == 2
+
+    def test_bypasses_are_counted_per_op(self):
+        f, g = _curves()
+        perf.configure(enabled=False)
+        convolve(f, g)
+        convolve(f, g)
+        deconvolve(f, g)
+        stats = perf.cache_stats()
+        assert stats["per_op_bypasses"] == {"minplus.convolve": 2, "minplus.deconvolve": 1}
+        assert stats["per_op"] == {}  # the two-key hit/miss rows stay untouched
+        snapshot = registry.snapshot()
+        published = {
+            c["labels"]["op"]: c["value"]
+            for c in snapshot["counters"]
+            if c["name"] == "cache.op.bypasses"
+        }
+        assert published["minplus.convolve"] == 2
+        assert published["minplus.deconvolve"] == 1
+        perf.reset()
+        assert perf.cache_stats()["per_op_bypasses"] == {}
 
     def test_instrumentation_counts_only_real_computes(self):
         f, g = _curves()

@@ -5,8 +5,14 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.curves.curve import PiecewiseLinearCurve
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs.tracing import tracer
+
+#: Curves with an interior jump and non-monotone slopes: no closed-form
+#: min-plus path applies, so a convolution dispatches the generic kernel.
+GENERAL = PiecewiseLinearCurve([0.0, 1.0, 2.0], [0.0, 4.0, 5.0], [3.0, 0.25, 1.0])
+GENERAL_SHIFTED = PiecewiseLinearCurve([0.0, 1.5, 2.5], [0.0, 5.5, 6.5], [3.0, 0.25, 1.0])
 
 
 class TestCli:
@@ -237,6 +243,57 @@ class TestObsCli:
             in out
         )
         assert "Simulation engine" not in out  # no chain or workload rows
+
+    @staticmethod
+    def _report_after(run, tmp_path, capsys) -> str:
+        """``obs report`` of the metrics that *run* leaves behind in a freshly
+        reset memo cache and min-plus/cache registry series."""
+        import repro.perf as perf
+        from repro.obs.metrics import registry
+
+        perf.reset()
+        registry.reset("minplus.")
+        registry.reset("cache.")
+        run()
+        metrics = tmp_path / "isolated.json"
+        metrics.write_text(json.dumps(registry.snapshot()))
+        perf.reset()
+        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        return capsys.readouterr().out
+
+    def test_report_counts_bypassed_dispatches(self, capsys, tmp_path):
+        """A generic convolution with the memo disabled dispatches once and
+        counts a bypass, not a miss: the consistency line still holds, and
+        the per-op table shows the bypass."""
+        import repro.perf as perf
+        from repro.curves.minplus import convolve
+
+        def run():
+            perf.configure(enabled=False)
+            try:
+                convolve(GENERAL, GENERAL_SHIFTED)
+            finally:
+                perf.configure(enabled=True)
+
+        out = self._report_after(run, tmp_path, capsys)
+        assert (
+            "minplus dispatches = 1 == 0 minplus memo misses + 1 bypasses" in out
+        )
+        assert "!=" not in out
+        assert "Cache traffic per op" in out
+        row = next(line for line in out.splitlines() if line.startswith("minplus.convolve "))
+        assert [cell.strip() for cell in row.split("|")] == ["minplus.convolve", "0", "0", "1"]
+
+    def test_report_fixpoint_keeps_the_dispatch_identity(self, capsys, tmp_path):
+        """A sub-additive fixpoint misses the memo once for itself and once
+        per inner convolution, but dispatches only the convolutions."""
+        from repro.curves.minplus import self_convolution_fixpoint
+
+        out = self._report_after(
+            lambda: self_convolution_fixpoint(GENERAL, iterations=2), tmp_path, capsys
+        )
+        assert "minplus.self_fixpoint" in out  # in the per-op table
+        assert "consistency:" in out and "!=" not in out
 
     def test_report_rejects_wrong_schema(self, capsys, tmp_path):
         bad = tmp_path / "not_metrics.json"
