@@ -11,6 +11,11 @@ Load-bearing properties gated in CI:
   trace in bounded memory — a small multiple of the chunk size, not of
   the trace — while returning bit-identical envelopes to the one-shot
   kernel;
+* the blocked streaming fold must extract the workload envelopes of 16
+  analysis-service payloads (2,048 integer demands each, three weighted
+  client classes with 5 % long tasks, one chunk per payload as the
+  daemon's ``curve`` op folds them) >= 2x faster than the per-length
+  fold (``repro.reference.streaming_envelope_brute``), bit for bit;
 * the pruned window kernel must extract one 72-frame case-study clip's
   workload envelopes and minimal window lengths on the context grid
   (dense to 4096, growth 1.015) >= 1.5x faster each than the per-length
@@ -41,6 +46,8 @@ from repro.curves.minplus import convolve, convolve_generic
 from repro.mpeg.clips import standard_clips
 from repro.obs.metrics import registry
 from repro.perf.batch import convolve_many
+from repro.reference import streaming_envelope_brute
+from repro.simulation import ClientProfile, WorkloadSpec
 from repro.util.staircase import (
     cumulative_envelope_minmax,
     make_k_grid,
@@ -175,6 +182,61 @@ def _best_of(runs: int, fn):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _service_payloads() -> list[np.ndarray]:
+    """16 demand arrays shaped like the analysis service's ``curve``
+    requests: 2,048 integer demands from three weighted client classes
+    with 5 % long tasks."""
+    spec = WorkloadSpec(
+        items=2_048,
+        demand_mean=2000.0,
+        demand_spread=0.3,
+        long_task_fraction=0.05,
+        clients=(
+            ClientProfile("light", 5.0, 0.5),
+            ClientProfile("medium", 3.0, 1.0),
+            ClientProfile("heavy", 1.0, 3.0),
+        ),
+    )
+    return [np.maximum(np.rint(spec.generate(seed).demands[0]), 1.0) for seed in range(16)]
+
+
+def _stream_lengths(path: str) -> int:
+    return registry.counter("staircase.stream_lengths", path=path).value
+
+
+def test_streaming_fold_speedup_gate():
+    """The blocked streaming fold must extract the envelopes of 16
+    service payloads >= 2x faster than the per-length fold, bit for bit."""
+    payloads = _service_payloads()
+    ks = make_k_grid(payloads[0].size)  # the grid the `curve` op folds over
+
+    brute_s, expected = _best_of(
+        3, lambda: [streaming_envelope_brute([p], ks) for p in payloads]
+    )
+    blocked_before = _stream_lengths("blocked")
+    lengths_before = sum(_stream_lengths(p) for p in ("blocked", "single", "repass"))
+    fold_s, got = _best_of(3, lambda: [streaming_envelope_minmax([p], ks) for p in payloads])
+    blocked = _stream_lengths("blocked") - blocked_before
+    lengths = sum(_stream_lengths(p) for p in ("blocked", "single", "repass")) - lengths_before
+
+    for (lo, hi), (lo0, hi0) in zip(got, expected):
+        assert lo.tobytes() == lo0.tobytes() and hi.tobytes() == hi0.tobytes()
+    speedup = brute_s / fold_s
+    _merge_report(
+        "streaming_fold",
+        {
+            "payloads": len(payloads),
+            "events": int(payloads[0].size),
+            "lengths": int(ks.size),
+            "brute_ms_per_payload": brute_s / len(payloads) * 1e3,
+            "fold_ms_per_payload": fold_s / len(payloads) * 1e3,
+            "speedup": speedup,
+            "blocked_share": blocked / lengths,
+        },
+    )
+    assert speedup >= 2.0, f"streaming fold {speedup:.2f}x below the 2x gate"
 
 
 def _window_lengths(path: str) -> int:

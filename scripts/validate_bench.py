@@ -13,7 +13,9 @@ present and >= 1, eval counts positive, relative gap finite).
 ``BENCH_minplus.json`` carries the backend-gate numbers: its backend
 sections must name the backend that produced them and report a speedup
 >= 1 over the reference kernel, and its ``window_pruning`` section must
-report both window-kernel speedups at or above the gate's 1.5x.  ``BENCH_sim.json`` carries the
+report both window-kernel speedups at or above the gate's 1.5x, and
+its ``streaming_fold`` section the blocked streaming fold's speedup over
+the per-length fold at or above 2x.  ``BENCH_sim.json`` carries the
 simulation-engine gates: the N-stage chain replay must cover at least a
 million stage-events and beat the event-driven oracle by its gate
 factor, the kernel's sorted bulk loader must beat per-event pushes, and
@@ -102,6 +104,20 @@ WINDOW_PRUNING_KEYS = {
     "pruned_share",
 }
 WINDOW_PRUNING_FLOOR = 1.5
+
+
+#: Required keys of the streaming-fold section of BENCH_minplus.json
+#: (``test_streaming_fold_speedup_gate``) and the floor of its speedup.
+STREAMING_FOLD_KEYS = {
+    "payloads",
+    "events",
+    "lengths",
+    "brute_ms_per_payload",
+    "fold_ms_per_payload",
+    "speedup",
+    "blocked_share",
+}
+STREAMING_FOLD_FLOOR = 2.0
 
 
 #: Required keys per gate section of BENCH_service.json — the gates in
@@ -287,6 +303,17 @@ def validate_minplus(path: Path) -> None:
                 f"{path}: window_pruning: {key} {window[key]:.2f}x below the "
                 f"{WINDOW_PRUNING_FLOOR}x gate"
             )
+    fold = report.get("streaming_fold")
+    if fold is None:
+        fail(f"{path}: missing gate section 'streaming_fold'")
+    missing = STREAMING_FOLD_KEYS - fold.keys()
+    if missing:
+        fail(f"{path}: streaming_fold: missing keys {sorted(missing)}")
+    if fold["speedup"] < STREAMING_FOLD_FLOOR:
+        fail(
+            f"{path}: streaming_fold: speedup {fold['speedup']:.2f}x below the "
+            f"{STREAMING_FOLD_FLOOR}x gate"
+        )
 
 
 def validate_service(path: Path) -> None:

@@ -765,6 +765,14 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 f"fallbacks {_fmt(float(window['fallback']))} "
                 f"({window['pruned'] / window['lengths']:.1%} pruned)"
             )
+        stream = {path: int(count) for path, count in window["stream"].items()}
+        if stream["lengths"]:
+            print(
+                f"stream fold lengths {stream['lengths']}: "
+                f"blocked {stream['blocked']}, single {stream['single']}, "
+                f"re-passes {stream['repass']} "
+                f"({stream['blocked'] / stream['lengths']:.1%} blocked)"
+            )
         service = report["service"]
         if service["submitted"] or service["evalpool"]["misses"]:
             print()

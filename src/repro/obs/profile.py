@@ -16,7 +16,9 @@ investigation actually asks:
   min-plus memo traffic out of a metrics snapshot;
 * **How much did the window kernel prune?** — :func:`window_breakdown`
   splits the window lengths of ``staircase.window_lengths{op, path}``
-  into anchor passes, pruned lengths and fallback passes;
+  into anchor passes, pruned lengths and fallback passes, and the
+  streaming fold's ``staircase.stream_lengths{path}`` into blocked,
+  single and re-passed lengths;
 * **How healthy is the cache?** — :func:`cache_tiers` splits every
   memoized lookup into the ``memory`` / ``disk`` / ``miss`` tiers, which
   by construction sum to the total lookups;
@@ -479,6 +481,13 @@ def window_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     after the exactness check declined the candidates).  Returns the totals over all ops,
     ``lengths = anchor + pruned + fallback`` and the per-op split; all
     zeros when no one-shot extraction ran.
+
+    ``stream`` reads ``staircase.stream_lengths{path}``: every (chunk,
+    window length) the streaming fold
+    (:func:`repro.util.staircase.streaming_envelope_minmax`) evaluated,
+    as ``blocked`` (formed in a block of consecutive lengths), ``single``
+    (folded alone) or ``repass`` (formed in a block, then folded alone
+    after a zero extremum), with ``lengths`` their sum.
     """
     by_op: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("counters", ()):
@@ -491,10 +500,13 @@ def window_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
         path: sum(row.get(path, 0) for row in by_op.values())
         for path in ("anchor", "pruned", "fallback")
     }
+    stream_paths = _group_counters(snapshot, "staircase.stream_lengths", "path")
+    stream = {path: stream_paths.get(path, 0) for path in ("blocked", "single", "repass")}
     return {
         "lengths": sum(totals.values()),
         **totals,
         "by_op": {op: dict(sorted(row.items())) for op, row in sorted(by_op.items())},
+        "stream": {"lengths": sum(stream.values()), **stream},
     }
 
 

@@ -209,11 +209,19 @@ def _publish_cache_metrics(registry) -> None:
     registry.gauge("cache.entries").set(stats_now["entries"])
     registry.gauge("cache.max_entries").set(stats_now["max_entries"])
     registry.gauge("cache.enabled").set(int(stats_now["enabled"]))
-    for op, counters in stats_now["per_op"].items():
-        registry.counter("cache.op.hits", op=op).set_total(counters["hits"])
-        registry.counter("cache.op.misses", op=op).set_total(counters["misses"])
-    for op, count in stats_now["per_op_bypasses"].items():
-        registry.counter("cache.op.bypasses", op=op).set_total(count)
+    per_op = stats_now["per_op"]
+    for name, totals in (
+        ("cache.op.hits", {op: c["hits"] for op, c in per_op.items()}),
+        ("cache.op.misses", {op: c["misses"] for op, c in per_op.items()}),
+        ("cache.op.bypasses", stats_now["per_op_bypasses"]),
+    ):
+        # an op the cache no longer counts (after a reset) reads 0; series
+        # merged from other processes carry more labels and keep theirs
+        for series in registry.series(name):
+            if series.labels.keys() == {"op"} and series.labels["op"] not in totals:
+                series.set_total(0)
+        for op, count in totals.items():
+            registry.counter(name, op=op).set_total(count)
     disk_stats = stats_now.get("disk")
     if disk_stats is not None:
         for key in ("hits", "misses", "writes", "evictions", "errors", "migrated"):

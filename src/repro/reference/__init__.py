@@ -17,6 +17,9 @@ cache both on and off.
 * :mod:`~repro.reference.arrival` — the per-element upper staircase of a
   trace from its minimal window lengths (``trace_staircase_brute``),
   behind :func:`repro.curves.arrival.from_trace_upper`;
+* :mod:`~repro.reference.stream` — the chunked envelope fold one window
+  length at a time (``streaming_envelope_brute``), behind
+  :func:`repro.util.staircase.streaming_envelope_minmax`;
 * :mod:`~repro.reference.scheduling` — the Lehoczky RMS scan
   (``rms_test_brute``);
 * :mod:`~repro.reference.server` — the work-conserving single-server
@@ -42,6 +45,7 @@ from repro.reference.minplus import (
 )
 from repro.reference.scheduling import rms_test_brute
 from repro.reference.server import completion_times_brute
+from repro.reference.stream import streaming_envelope_brute
 
 __all__ = [
     "convolve_at_brute",
@@ -56,4 +60,5 @@ __all__ = [
     "rms_test_brute",
     "completion_times_brute",
     "trace_staircase_brute",
+    "streaming_envelope_brute",
 ]

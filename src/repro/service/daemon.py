@@ -346,7 +346,7 @@ class AnalysisService:
                 future = loop.run_in_executor(
                     executor,
                     run_attempt,
-                    ops.execute_op,
+                    ops.execute_op_json,
                     (job.op, job.params),
                     job.seed,
                     self.timeout_s,
@@ -376,7 +376,7 @@ class AnalysisService:
         job.duration_s = time.perf_counter() - t0
         if outcome["ok"]:
             state = "done"
-            job.result = outcome["value"]
+            job.result_json = outcome["value"]
         else:
             state = "timeout" if outcome["error_type"] == "TaskTimeout" else "failed"
             job.error = outcome["error"]

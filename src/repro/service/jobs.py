@@ -23,9 +23,12 @@ friendliness; durations are measured with the monotonic clock.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.service.protocol import RawJSON
 
 __all__ = ["Job", "JOB_STATES", "TERMINAL_STATES"]
 
@@ -62,11 +65,18 @@ class Job:
     attempts: int = 0
     seed: int | None = None
     demand: float = 0.0
-    result: Any = None
+    #: The result as the protocol's JSON text, encoded by the worker.
+    result_json: str | None = None
     error: str | None = None
     error_type: str | None = None
     admission: dict[str, Any] | None = None
     done_event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
+
+    @property
+    def result(self) -> Any:
+        """The op's result, decoded from :attr:`result_json` (None until
+        the job is done)."""
+        return None if self.result_json is None else json.loads(self.result_json)
 
     @property
     def terminal(self) -> bool:
@@ -80,7 +90,9 @@ class Job:
         self.done_event.set()
 
     def to_dict(self, *, with_result: bool = True) -> dict[str, Any]:
-        """JSON-serializable view of the job (the protocol's job object).
+        """The protocol's job object, for
+        :func:`~repro.service.protocol.encode`: its ``result`` is the
+        worker's :class:`~repro.service.protocol.RawJSON` text.
 
         ``with_result=False`` drops the (possibly large) result payload —
         used by ``status`` responses and stream events.
@@ -104,5 +116,5 @@ class Job:
         if self.admission is not None:
             out["admission"] = self.admission
         if with_result and self.state == "done":
-            out["result"] = self.result
+            out["result"] = None if self.result_json is None else RawJSON(self.result_json)
         return out

@@ -23,8 +23,10 @@ Ops (the ``op`` field of a ``submit`` request):
     Synthetic latency (tests and benchmarks of queueing/timeout paths).
 
 Every op returns a JSON-serializable dict — results travel over the JSONL
-protocol unchanged.  :func:`estimate_demand` gives the static per-op
-demand estimates (in milliseconds of nominal work) that seed the
+protocol unchanged.  The daemon's attempts run :func:`execute_op_json`,
+which encodes the result in the worker, so the event loop only splices
+the text into the response.  :func:`estimate_demand` gives the static
+per-op demand estimates (in milliseconds of nominal work) that seed the
 admission controller before measured costs take over.
 """
 
@@ -33,9 +35,10 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
+from repro.service.protocol import RawJSON, encode_value
 from repro.util.validation import ValidationError, check_integer, check_positive
 
-__all__ = ["OPS", "execute_op", "estimate_demand", "UnknownOperation"]
+__all__ = ["OPS", "execute_op", "execute_op_json", "estimate_demand", "UnknownOperation"]
 
 
 class UnknownOperation(ValidationError):
@@ -73,9 +76,9 @@ def _op_curve(params: dict[str, Any]) -> dict[str, Any]:
         "events": int(demands.size),
         "wcet": pair.wcet,
         "bcet": pair.bcet,
-        "k": [int(k) for k in pair.upper.k_values],
-        "gamma_u": [float(v) for v in pair.upper.values],
-        "gamma_l": [float(v) for v in pair.lower.values],
+        "k": pair.upper.k_values.tolist(),
+        "gamma_u": pair.upper.values.tolist(),
+        "gamma_l": pair.lower.values.tolist(),
     }
 
 
@@ -167,11 +170,17 @@ def estimate_demand(op: str, params: dict[str, Any]) -> float:
 
 
 def execute_op(op: str, params: dict[str, Any]) -> dict[str, Any]:
-    """Execute one op in the current process (the function each daemon
-    attempt runs; :func:`~repro.runner.pool.run_attempt` reseeds the
-    global RNGs with the job's derived seed first, so a job's result is
-    independent of which worker runs it)."""
+    """Execute one op in the current process and return its result."""
     impl = OPS.get(op)
     if impl is None:
         raise UnknownOperation(f"unknown op {op!r} (known: {', '.join(sorted(OPS))})")
     return impl(dict(params or {}))
+
+
+def execute_op_json(op: str, params: dict[str, Any]) -> RawJSON:
+    """:func:`execute_op`, its result encoded as the protocol's JSON text
+    (the function each daemon attempt runs, in its worker;
+    :func:`~repro.runner.pool.run_attempt` reseeds the global RNGs with
+    the job's derived seed first, so a job's result is independent of
+    which worker runs it)."""
+    return encode_value(execute_op(op, params))

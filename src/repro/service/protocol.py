@@ -21,17 +21,26 @@ Request ops::
 The framing is deliberately the same newline-delimited JSON used by the
 repo's trajectory store — greppable, append-friendly, no binary deps.
 A request line may be at most :data:`MAX_LINE_BYTES` long.
+
+A job's result is encoded once, in the worker that computed it
+(:func:`encode_value`, called by
+:func:`repro.service.ops.execute_op_json`): :func:`encode` writes a
+:class:`RawJSON` value as the text it holds, so the daemon's event loop
+never walks a result's elements.
 """
 
 from __future__ import annotations
 
 import json
+import secrets
 from typing import Any
 
 __all__ = [
     "SCHEMA",
     "ProtocolError",
+    "RawJSON",
     "encode",
+    "encode_value",
     "decode",
     "ok_response",
     "error_response",
@@ -65,9 +74,46 @@ class ProtocolError(ValueError):
     """A malformed request or response line."""
 
 
+_SEPARATORS = (",", ":")
+
+#: Stand-in for the *i*-th :class:`RawJSON` value while a message is
+#: encoded; the random tag keeps any text in a message from matching it.
+_HOLE = "\x00" + secrets.token_hex(8) + "-{}\x00"
+
+
+class RawJSON(str):
+    """JSON text that :func:`encode` writes as it is, where the value it
+    encodes would stand."""
+
+
+def encode_value(value: Any) -> RawJSON:
+    """*value* as the JSON text :func:`encode` writes for it."""
+    return RawJSON(json.dumps(value, separators=_SEPARATORS, sort_keys=True))
+
+
 def encode(message: dict[str, Any]) -> bytes:
-    """Serialize one protocol message to a newline-terminated JSON line."""
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    """Serialize one protocol message to a newline-terminated JSON line.
+
+    A :class:`RawJSON` value, in the message or in a dict nested in it,
+    is written as the text it holds: the bytes are those of encoding the
+    value it encodes.
+    """
+    raw: list[str] = []
+    text = json.dumps(_punch(message, raw), separators=_SEPARATORS, sort_keys=True)
+    for i, fragment in enumerate(raw):
+        text = text.replace(json.dumps(_HOLE.format(i)), fragment, 1)
+    return (text + "\n").encode()
+
+
+def _punch(value: Any, raw: list[str]) -> Any:
+    """*value* with each :class:`RawJSON` in it or in its nested dicts
+    moved to *raw* and replaced by its numbered hole."""
+    if isinstance(value, RawJSON):
+        raw.append(value)
+        return _HOLE.format(len(raw) - 1)
+    if isinstance(value, dict):
+        return {key: _punch(item, raw) for key, item in value.items()}
+    return value
 
 
 def decode(line: bytes | str) -> dict[str, Any]:

@@ -4,16 +4,20 @@ Workload curves (paper, Definition 1) are sequences indexed by the number of
 consecutive task activations ``k``.  Extracting them from a trace requires,
 for every window length ``k``, the maximum (or minimum) sum of per-event
 demands over all length-``k`` windows.  The helpers here implement that with
-cumulative sums: each window sum is one subtraction of two prefix sums, and
+cumulative sums: each window sum is one subtraction of two prefix sums,
 :func:`_window_extrema` forms only the subtractions that can hold each
-extremum (see its docstring).
+extremum (see its docstring), and :func:`streaming_envelope_minmax` forms
+a chunk's subtractions for a block of consecutive window lengths at once
+(see :class:`_StreamFold`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.obs.metrics import counter
 from repro.perf.cache import digest_of, kernel_cache
@@ -278,10 +282,13 @@ def streaming_envelope_minmax(
     continued across chunk boundaries by seeding each chunk's ``cumsum``
     with the running total (so every prefix sum is the *same float* the
     one-shot kernel computes), and only the trailing ``k_max = k_values[-1]``
-    prefix sums are retained to form the cross-boundary windows.  Peak
-    memory is ``O(chunk + k_max + len(k_values))`` regardless of the trace
-    length — multi-million-event traces extract without ever materializing
-    the full demand array.
+    prefix sums are retained to form the cross-boundary windows.  Each
+    chunk's window sums are formed a block of consecutive window lengths
+    at a time, one block at most :data:`_BLOCK_ELEMENTS` sums (see
+    :class:`_StreamFold`).  Peak memory is
+    ``O(chunk + k_max + len(k_values) + _BLOCK_ELEMENTS)`` regardless of
+    the trace length — multi-million-event traces extract without ever
+    materializing the full demand array.
 
     The stream is consumed once and cannot be content-addressed without
     materializing it, so unlike the one-shot kernel this path is *not*
@@ -325,8 +332,7 @@ def _streaming_minmax(
     chunks: Iterable[Sequence[float]], ks: np.ndarray, total: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     k_max = int(ks[-1])
-    lo = np.full(ks.size, np.inf)
-    hi = np.full(ks.size, -np.inf)
+    fold = _StreamFold(ks)
     # trailing prefix sums csum[max(0, m - k_max) .. m]; csum[0] = 0.0
     tail = np.zeros(1)
     seen = 0
@@ -338,32 +344,169 @@ def _streaming_minmax(
             continue
         if not np.all(np.isfinite(arr)):
             raise ValidationError("demands must be finite")
-        # ext[i] = csum[base + i]; seeding with csum[seen] reproduces the
-        # one-shot cumsum's sequential float additions exactly
+        prev, seen = seen, seen + arr.size
+        # seeding with csum[prev] reproduces the one-shot cumsum's
+        # sequential float additions exactly
         new = np.cumsum(np.concatenate((tail[-1:], arr)))
-        ext = np.concatenate((tail[:-1], new))
-        base = seen - (tail.size - 1)
-        seen += arr.size
-        for i, k in enumerate(ks):
-            if k > seen:
-                break
-            # window endpoints new to this chunk: e in [max(k, prev+1), seen]
-            e0 = max(int(k), seen - arr.size + 1)
-            ends = ext[e0 - base : seen + 1 - base]
-            starts = ext[e0 - int(k) - base : seen + 1 - int(k) - base]
-            diffs = ends - starts
-            lo[i] = min(lo[i], float(diffs.min()))
-            hi[i] = max(hi[i], float(diffs.max()))
-        if ext.size > k_max + 1:
-            ext = ext[-(k_max + 1) :]
-        tail = ext
+        # zeros in front, for the lengths longer than prev + 1 to read as
+        # whole rows (see _StreamFold.block)
+        pad = max(0, min(seen, k_max) - prev - 1)
+        ext = np.concatenate((np.zeros(pad), tail[:-1], new))
+        fold.add(_Chunk(ext, pad - (prev - (tail.size - 1)), prev, seen))
+        tail = ext[max(pad, ext.size - (k_max + 1)) :]
+    fold.publish()
     if seen == 0:
         raise ValidationError("demand stream is empty")
     if total is not None and seen != total:
         raise ValidationError(f"stream yielded {seen} events, expected {total}")
     if k_max > seen:
         raise ValidationError(f"k_values must not exceed trace length {seen}")
-    return lo, hi
+    return fold.lo, fold.hi
+
+
+#: Window sums one block of the streaming fold forms at once (512 KiB of
+#: float64): a block takes this many sums' worth of rows, so its
+#: temporaries are bounded whatever the trace.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+class _Chunk(NamedTuple):
+    """One chunk of the streaming fold: its window ends are
+    ``prev + 1 .. seen``, and ``ext[m + off]`` is the prefix sum
+    ``csum[m]`` for every ``m`` those windows read."""
+
+    ext: np.ndarray
+    off: int
+    prev: int
+    seen: int
+
+
+class _StreamFold:
+    """State of :func:`_streaming_minmax`: the running extrema, the window
+    grid in runs of consecutive lengths, one block buffer and the count of
+    (chunk, length) evaluations per path, published as
+    ``staircase.stream_lengths{path}``:
+
+    * ``blocked`` — formed in a block of consecutive lengths
+      (:meth:`block`);
+    * ``single`` — folded alone (:meth:`length`): a block of one length,
+      or any length of a chunk whose prefix sums are not all finite;
+    * ``repass`` — formed in a block whose extremum was a zero, then
+      folded alone.
+    """
+
+    def __init__(self, ks: np.ndarray) -> None:
+        self.lo = np.full(ks.size, np.inf)
+        self.hi = np.full(ks.size, -np.inf)
+        self.lengths = ks.tolist()
+        cuts = (np.flatnonzero(np.diff(ks) != 1) + 1).tolist()
+        self.runs = list(zip([0, *cuts], [*cuts, ks.size]))
+        self.buf = np.empty(_BLOCK_ELEMENTS)
+        self.paths = dict.fromkeys(("blocked", "single", "repass"), 0)
+
+    def add(self, c: _Chunk) -> None:
+        """Fold the windows that end in chunk *c* into the extrema.
+
+        Each run of consecutive lengths is cut into blocks of at most
+        ``_BLOCK_ELEMENTS // row length`` lengths, a row being the ends
+        its first length has in the chunk.  A chunk whose prefix sums are
+        not all finite is folded one length at a time: ``inf - inf`` is
+        nan, which a reduction returns but the per-length running
+        ``min``/``max`` passes over.
+        """
+        lengths = self.lengths
+        n_open = bisect_right(lengths, c.seen)  # the lengths with a window yet
+        # a prefix sum that overflows stays infinite, so the last one is
+        # finite only if all are
+        if not np.isfinite(c.ext[-1]):
+            for i in range(n_open):
+                self.length(c, i)
+            self.paths["single"] += n_open
+            return
+        view = sliding_window_view(c.ext, c.seen - c.prev)
+        for start, stop in self.runs:
+            if start >= n_open:
+                break
+            stop = min(stop, n_open)
+            i = start
+            while i < stop:
+                first = max(lengths[i], c.prev + 1)  # the block's first window end
+                j = min(stop, i + _BLOCK_ELEMENTS // (c.seen - first + 1))
+                if j - i < 2:
+                    self.length(c, i)
+                    self.paths["single"] += 1
+                    i += 1
+                    continue
+                zeros = self.block(c, view, i, j)
+                for r in zeros:
+                    self.length(c, i + r)
+                self.paths["blocked"] += j - i - len(zeros)
+                self.paths["repass"] += len(zeros)
+                i = j
+
+    def length(self, c: _Chunk, i: int) -> None:
+        """Fold the windows of length ``lengths[i]`` that end in chunk *c*
+        the per-length way: one subtraction, a reduction per side and a
+        Python ``min``/``max`` with the running value."""
+        k = self.lengths[i]
+        first = max(k, c.prev + 1)
+        ext, off = c.ext, c.off
+        sums = ext[first + off : c.seen + 1 + off] - ext[first - k + off : c.seen + 1 - k + off]
+        self.lo[i] = min(self.lo[i], float(sums.min()))
+        self.hi[i] = max(self.hi[i], float(sums.max()))
+
+    def block(self, c: _Chunk, view: np.ndarray, i: int, j: int) -> list[int]:
+        """Fold the windows of the consecutive lengths ``lengths[i:j]``
+        that end in chunk *c*, with one subtraction and one reduction per
+        side; returns the rows left to the per-length fold.
+
+        Row ``r`` holds the sums of length ``k = k0 + r`` at the ends
+        ``first .. seen``, ``first = max(k0, prev + 1)``: its start prefix
+        sums are row ``first - k + off`` of *view*, so a block's rows are
+        consecutive rows of it, in reverse.  The block subtracts the prefix
+        sums the per-length fold subtracts, and min/max are exact, so each
+        row's extremum is that fold's float up to the sign of a zero.
+        Where ``e < k`` (the first windows of the stream) a row reads the
+        zero pad; those entries take the row's sum at end ``k1``, which
+        every row holds, and a repeated value moves neither extremum.
+
+        A row whose extremum on either side is zero is left unfolded:
+        ``0.0 == -0.0``, and only the per-length order fixes which one the
+        running value keeps.  (No prefix sum of the fold is ``-0.0`` and
+        an exact difference is ``-0.0`` only from ``-0.0 - 0.0``, so under
+        IEEE rounding a zero sum is ``+0.0``; the re-pass keeps the fold
+        exact where subnormal results are flushed to zero.)
+        """
+        k0, k1 = self.lengths[i], self.lengths[j - 1]
+        first = max(k0, c.prev + 1)
+        width = c.seen - first + 1
+        ext, off = c.ext, c.off
+        starts = view[first - k1 + off : first - k0 + off + 1, :width][::-1]
+        sums = np.subtract(
+            ext[first + off : c.seen + 1 + off],
+            starts,
+            out=self.buf[: (j - i) * width].reshape(j - i, width),
+        )
+        ragged = k1 - first  # the columns before end k1
+        if ragged > 0:
+            # entry (r, col) is at end first + col, before the row's first
+            # window where that is below k0 + r
+            before = np.greater.outer(
+                np.arange(j - i), np.arange(first - k0, first - k0 + ragged)
+            )
+            np.copyto(sums[:, :ragged], sums[:, ragged : ragged + 1], where=before)
+        low = np.minimum.reduce(sums, axis=1)
+        high = np.maximum.reduce(sums, axis=1)
+        folded = (low != 0.0) & (high != 0.0)
+        np.minimum(self.lo[i:j], low, out=self.lo[i:j], where=folded)
+        np.maximum(self.hi[i:j], high, out=self.hi[i:j], where=folded)
+        return np.flatnonzero(~folded).tolist()
+
+    def publish(self) -> None:
+        """Add the path counts to ``staircase.stream_lengths{path}``."""
+        for path, count in self.paths.items():
+            if count:
+                counter("staircase.stream_lengths", path=path).inc(count)
 
 
 def is_non_decreasing(values: Iterable[float]) -> bool:

@@ -341,9 +341,22 @@ class TestWindowBreakdown:
         assert window["by_op"]["min_window"] == {"fallback": 2, "pruned": 60}
         assert profile_report(None, reg.snapshot())["window"] == window
 
+    def test_splits_stream_fold_lengths_by_path(self):
+        reg = MetricsRegistry()
+        reg.counter("staircase.stream_lengths", path="blocked").inc(4000)
+        reg.counter("staircase.stream_lengths", path="single").inc(90)
+        reg.counter("staircase.stream_lengths", path="repass").inc(6)
+        window = window_breakdown(reg.snapshot())
+        assert window["stream"] == {
+            "lengths": 4096, "blocked": 4000, "single": 90, "repass": 6
+        }
+        assert window["lengths"] == 0  # no one-shot extraction
+        assert profile_report(None, reg.snapshot())["window"] == window
+
     def test_empty_snapshot_is_all_zeros(self):
         window = window_breakdown(MetricsRegistry().snapshot())
         assert window["lengths"] == 0 and window["by_op"] == {}
+        assert window["stream"] == dict.fromkeys(("lengths", "blocked", "single", "repass"), 0)
 
 
 class TestProfileReport:

@@ -84,6 +84,27 @@ class TestCounterAccounting:
         perf.reset()
         assert perf.cache_stats()["per_op_bypasses"] == {}
 
+    def test_reset_zeroes_the_published_per_op_series(self):
+        """After ``perf.reset()`` the per-op series of ops not used since
+        read 0, like the cache totals; an op used again reads its new count."""
+        f, _ = _curves()
+        self_convolution_fixpoint(f, iterations=2)
+        before = registry.snapshot()
+        assert any(
+            c["name"] == "cache.op.misses" and c["value"] for c in before["counters"]
+        )
+        perf.reset()
+        convolve(*_curves())
+        after = {
+            (c["name"], c["labels"].get("op")): c["value"]
+            for c in registry.snapshot()["counters"]
+            if c["name"].startswith("cache.") and set(c["labels"]) <= {"op"}
+        }
+        assert after[("cache.misses", None)] == 1
+        assert after.pop(("cache.op.misses", "minplus.convolve")) == 1
+        stale = {key: value for key, value in after.items() if key[1] is not None}
+        assert stale and stale == dict.fromkeys(stale, 0)
+
     def test_instrumentation_counts_only_real_computes(self):
         f, g = _curves()
         convolve(f, g)

@@ -41,6 +41,32 @@ class TestFraming:
         assert line.count(b"\n") == 1
 
 
+class TestRawJSON:
+    """A value encoded ahead (:func:`protocol.encode_value`) is spliced
+    into the line byte for byte as if it had been encoded in place."""
+
+    RESULT = {"wcet": 4.0, "k": [1, 2, 3], "gamma_u": [4.0, 6.0, -0.0], "note": "a\u00e9\n"}
+
+    def test_spliced_line_equals_the_line_of_the_value(self):
+        raw = protocol.encode_value(self.RESULT)
+        assert isinstance(raw, protocol.RawJSON)
+        job = {"id": "job-000001", "state": "done", "error": None}
+        spliced = protocol.encode(protocol.ok_response(9, job={**job, "result": raw}))
+        direct = protocol.encode(protocol.ok_response(9, job={**job, "result": self.RESULT}))
+        assert spliced == direct
+        assert protocol.decode(spliced)["job"]["result"] == self.RESULT
+
+    def test_several_raw_values_at_any_dict_depth(self):
+        message = {
+            "a": protocol.encode_value([1.5, None]),
+            "b": {"c": protocol.encode_value({"d": "x"}), "e": [protocol.RawJSON("1")]},
+            "f": protocol.encode_value("\x00-0\x00"),
+        }
+        # a RawJSON inside a list is a plain string: only dict values are spliced
+        want = {"a": [1.5, None], "b": {"c": {"d": "x"}, "e": ["1"]}, "f": "\x00-0\x00"}
+        assert protocol.encode(message) == protocol.encode(want)
+
+
 @pytest.fixture()
 def live_server(tmp_path):
     """A daemon serving the protocol on a unix socket in a worker thread."""

@@ -228,6 +228,30 @@ class TestObsCli:
             in out
         )
 
+    def test_report_stream_fold_line(self, capsys, tmp_path):
+        """40 demands streamed in chunks of 16 over the lengths 1..24, 32
+        and 40: each chunk folds the open part of 1..24 as one block (16,
+        then 24 and 24 lengths) and 32 and 40 alone once open (1, then 2)."""
+        import numpy as np
+
+        from repro.core.workload import WorkloadCurvePair
+        from repro.obs.metrics import registry
+
+        registry.reset("staircase.stream_lengths")
+        demands = np.random.default_rng(4).uniform(1.0, 9.0, 40)
+        WorkloadCurvePair.from_demand_stream(
+            (demands[start : start + 16] for start in range(0, 40, 16)),
+            k_values=[*range(1, 25), 32, 40],
+        )
+        metrics = tmp_path / "stream.json"
+        metrics.write_text(json.dumps(registry.snapshot()))
+        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "stream fold lengths 67: blocked 64, single 3, re-passes 0 (95.5% blocked)"
+            in out
+        )
+
     def test_report_front_end_line(self, capsys, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
@@ -247,13 +271,13 @@ class TestObsCli:
     @staticmethod
     def _report_after(run, tmp_path, capsys) -> str:
         """``obs report`` of the metrics that *run* leaves behind in a freshly
-        reset memo cache and min-plus/cache registry series."""
+        reset memo cache (whose ``cache.*`` series the snapshot publishes
+        afresh) and min-plus registry series."""
         import repro.perf as perf
         from repro.obs.metrics import registry
 
         perf.reset()
         registry.reset("minplus.")
-        registry.reset("cache.")
         run()
         metrics = tmp_path / "isolated.json"
         metrics.write_text(json.dumps(registry.snapshot()))

@@ -1,5 +1,7 @@
 """Unit and property tests for repro.util.staircase."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.curves.arrival import maximal_window_lengths, minimal_window_lengths
 from repro.obs.metrics import registry
+from repro.reference import streaming_envelope_brute
+from repro.util import staircase
 from repro.util.staircase import (
     cumulative_envelope_max,
     cumulative_envelope_min,
@@ -346,6 +350,114 @@ class TestStreaming:
     def test_two_dimensional_chunk_rejected(self):
         with pytest.raises(ValidationError, match="1-D"):
             streaming_envelope_minmax([np.ones((2, 2))], np.array([1]))
+
+
+def _stream_family(name, n, rng):
+    if name == "all_zeros":
+        return rng.choice([-0.0, 0.0], n)
+    if name == "opened":  # a run of -0.0 demands opens the trace
+        values = rng.uniform(1.0, 2.0, n)
+        values[: rng.integers(1, n + 1)] = -0.0
+        return values
+    return _family(name, n, rng)
+
+
+_STREAM_FAMILIES = ("uniform", "tied", "constant", "signed", "giant", "all_zeros", "opened")
+#: Oracle iterations, (chunks) x (window lengths), one drawn case may cost.
+_ORACLE_BUDGET = 8_000
+
+
+@st.composite
+def _stream_case(draw):
+    """A demand stream of one family, a window grid over it, its chunking
+    and a block budget for the fold."""
+    n = draw(st.integers(min_value=1, max_value=3_000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = _stream_family(draw(st.sampled_from(_STREAM_FAMILIES)), n, rng)
+    grid = draw(st.sampled_from(("dense", "runs", "geometric", "sparse")))
+    if grid == "dense":
+        ks = np.arange(1, n + 1)
+    elif grid == "runs":  # a few runs of consecutive lengths among sparse ones
+        starts = rng.integers(1, n + 1, draw(st.integers(min_value=1, max_value=4)))
+        runs = [np.arange(s, min(n, s + rng.integers(1, 200)) + 1) for s in starts]
+        ks = np.unique(np.concatenate([*runs, rng.integers(1, n + 1, 8)]))
+    elif grid == "geometric":
+        limit = draw(st.integers(min_value=1, max_value=64))
+        ks = make_k_grid(n, dense_limit=limit, growth=draw(st.sampled_from((1.02, 1.1, 1.5))))
+    else:
+        ks = np.flatnonzero(rng.random(n) < draw(st.sampled_from((0.1, 0.6)))) + 1
+        ks = ks if ks.size else np.array([n])
+    fewest = -(-n * ks.size // _ORACLE_BUDGET)  # smallest chunk within the budget
+    size = draw(st.integers(min_value=max(1, fewest), max_value=n + 1))
+    cuts = list(range(size, n, size))
+    cuts += rng.choice(cuts or [0, n], draw(st.integers(min_value=0, max_value=3))).tolist()
+    budget = draw(st.sampled_from((8, 64, staircase._BLOCK_ELEMENTS)))
+    return values, ks.astype(np.int64), sorted(cuts), budget
+
+
+def _stream_paths():
+    return {
+        path: registry.counter("staircase.stream_lengths", path=path).value
+        for path in ("blocked", "single", "repass")
+    }
+
+
+class TestBlockedStreamingFold:
+    """The blocked fold returns the floats of the per-length fold
+    (:func:`repro.reference.streaming_envelope_brute`) bit for bit, the
+    sign of zero included (byte equality compares the sign bits)."""
+
+    @staticmethod
+    def _assert_matches_oracle(values, ks, cuts):
+        lo, hi = streaming_envelope_minmax(_split(values, cuts), ks, total=values.size)
+        ref_lo, ref_hi = streaming_envelope_brute(_split(values, cuts), ks)
+        assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
+        assert np.array_equal(np.signbit(lo), np.signbit(ref_lo))
+        assert np.array_equal(np.signbit(hi), np.signbit(ref_hi))
+
+    @given(_stream_case())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_length_fold(self, case):
+        values, ks, cuts, budget = case
+        with mock.patch.object(staircase, "_BLOCK_ELEMENTS", budget):
+            self._assert_matches_oracle(values, ks, cuts)
+
+    def test_zero_extremum_takes_the_repass(self):
+        """80 idle activations in the second chunk make the minimum window
+        sum of the lengths 1..80 zero there: those rows of the block are
+        folded again per length."""
+        values = np.random.default_rng(5).uniform(1.0, 2.0, 1000)
+        values[350:430] = -0.0
+        ks = np.arange(1, 1001)
+        before = _stream_paths()
+        self._assert_matches_oracle(values, ks, [300, 600])
+        after = _stream_paths()
+        assert after["repass"] - before["repass"] == 80
+        assert after["blocked"] - before["blocked"] == 300 + 600 + 1000 - 80
+
+    def test_block_straddling_the_first_window_ends(self):
+        """In the second of three 20-event chunks one block holds lengths
+        1..40, and the rows of lengths 22..40 have no window at the
+        chunk's first ends.  Unfilled, those entries would be sums of
+        fewer than k positive demands, below every window of length k."""
+        values = np.random.default_rng(9).uniform(1.0, 2.0, 60)
+        before = _stream_paths()
+        self._assert_matches_oracle(values, np.arange(1, 61), [20, 40])
+        after = _stream_paths()
+        assert after["blocked"] - before["blocked"] == 20 + 40 + 60
+
+    def test_overflowed_prefix_sums_fold_per_length(self):
+        """Finite demands whose running sum overflows in the last chunk:
+        its ``inf - inf`` windows are nan, which the per-length fold's
+        running ``min``/``max`` pass over and a block reduction returns."""
+        values = np.random.default_rng(2).uniform(1.0, 2.0, 200)
+        values[150:152] = 1e308
+        before = _stream_paths()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._assert_matches_oracle(values, np.arange(1, 201), [64, 128])
+        after = _stream_paths()
+        assert after["blocked"] - before["blocked"] == 64 + 128
+        assert after["single"] - before["single"] == 200
 
 
 class TestKGrid:
