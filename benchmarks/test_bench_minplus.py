@@ -20,6 +20,10 @@ Load-bearing properties gated in CI:
   workload envelopes and minimal window lengths on the context grid
   (dense to 4096, growth 1.015) >= 1.5x faster each than the per-length
   loop it replaced, which the gate keeps as its reference, bit for bit;
+* the upper workload curve alone (``cumulative_envelope_max``) must
+  extract the 12 open-system trace families (model x long-task fraction
+  x demand spread, 16,384 items each) >= 1.3x faster than the two-sided
+  kernel, whose maximum side it must equal byte for byte;
 * the production generic kernel (the SoA kernel behind ``convolve``)
   must beat the numpy oracle (``convolve_generic``) by >= 5x on a
   200-segment *general* pair (no fast path applies) and by >= 2.5x when
@@ -47,8 +51,9 @@ from repro.mpeg.clips import standard_clips
 from repro.obs.metrics import registry
 from repro.perf.batch import convolve_many
 from repro.reference import streaming_envelope_brute
-from repro.simulation import ClientProfile, WorkloadSpec
+from repro.simulation import ClientProfile, WorkloadSpec, scenario_grid
 from repro.util.staircase import (
+    cumulative_envelope_max,
     cumulative_envelope_minmax,
     make_k_grid,
     streaming_envelope_minmax,
@@ -288,6 +293,64 @@ def test_window_pruning_speedup_gate():
     )
     assert envelope_speedup >= 1.5, f"envelope {envelope_speedup:.2f}x below the 1.5x gate"
     assert arrival_speedup >= 1.5, f"window lengths {arrival_speedup:.2f}x below the 1.5x gate"
+
+
+#: The open-system trace families: every axis of the ``open_system``
+#: scenario grid but the per-stage demand scales.
+OPEN_SYSTEM_AXES = {
+    "model": ["poisson", "uniform"],
+    "long_task_fraction": [0.0, 0.05],
+    "demand_spread": [0.0, 0.3, 0.6],
+}
+OPEN_SYSTEM_ITEMS = 16_384
+
+
+def _pruned_and_lengths(op: str) -> tuple[int, int]:
+    """``(pruned, lengths)`` counted so far under window-kernel *op*."""
+    paths = {
+        path: registry.counter("staircase.window_lengths", op=op, path=path).value
+        for path in ("anchor", "pruned", "fallback")
+    }
+    return paths["pruned"], sum(paths.values())
+
+
+def test_one_sided_envelope_gate():
+    """The upper workload curve alone must extract the 12 open-system
+    trace families >= 1.3x faster than the two-sided kernel, whose
+    maximum side it must equal byte for byte."""
+    grid = scenario_grid(WorkloadSpec(items=OPEN_SYSTEM_ITEMS), OPEN_SYSTEM_AXES, base_seed=2004)
+    traces = [spec.generate(seed).stage_demands(0) for spec, seed in grid]
+    ks = make_k_grid(OPEN_SYSTEM_ITEMS)
+
+    before = {op: _pruned_and_lengths(op) for op in ("envelope_minmax", "envelope_max")}
+    perf.configure(enabled=False)  # time the kernels, not the memo cache
+    try:
+        pair_s, pairs = _best_of(3, lambda: [cumulative_envelope_minmax(d, ks) for d in traces])
+        max_s, maxima = _best_of(3, lambda: [cumulative_envelope_max(d, ks) for d in traces])
+    finally:
+        perf.configure(enabled=True)
+    shares = {}
+    for op, (pruned0, lengths0) in before.items():
+        pruned, lengths = _pruned_and_lengths(op)
+        shares[op] = (pruned - pruned0) / (lengths - lengths0)
+
+    for (_, hi), got in zip(pairs, maxima):
+        assert got.tobytes() == hi.tobytes()
+    speedup = pair_s / max_s
+    _merge_report(
+        "one_sided",
+        {
+            "traces": len(traces),
+            "events": OPEN_SYSTEM_ITEMS,
+            "lengths": int(ks.size),
+            "pair_seconds": pair_s,
+            "max_seconds": max_s,
+            "speedup": speedup,
+            "pair_pruned_share": shares["envelope_minmax"],
+            "max_pruned_share": shares["envelope_max"],
+        },
+    )
+    assert speedup >= 1.3, f"one-sided envelope {speedup:.2f}x below the 1.3x gate"
 
 
 def _random_general(rng: np.random.Generator, n: int) -> PiecewiseLinearCurve:

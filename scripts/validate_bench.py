@@ -13,9 +13,11 @@ present and >= 1, eval counts positive, relative gap finite).
 ``BENCH_minplus.json`` carries the backend-gate numbers: its backend
 sections must name the backend that produced them and report a speedup
 >= 1 over the reference kernel, and its ``window_pruning`` section must
-report both window-kernel speedups at or above the gate's 1.5x, and
-its ``streaming_fold`` section the blocked streaming fold's speedup over
-the per-length fold at or above 2x.  ``BENCH_sim.json`` carries the
+report both window-kernel speedups at or above the gate's 1.5x, its
+``streaming_fold`` section the blocked streaming fold's speedup over
+the per-length fold at or above 2x, and its ``one_sided`` section the
+one-sided envelope's speedup over the two-sided kernel at or above
+1.3x.  ``BENCH_sim.json`` carries the
 simulation-engine gates: the N-stage chain replay must cover at least a
 million stage-events and beat the event-driven oracle by its gate
 factor, the kernel's sorted bulk loader must beat per-event pushes, and
@@ -118,6 +120,31 @@ STREAMING_FOLD_KEYS = {
     "blocked_share",
 }
 STREAMING_FOLD_FLOOR = 2.0
+
+
+#: Required keys of the one-sided envelope section of BENCH_minplus.json
+#: (``test_one_sided_envelope_gate``) and the floor of its speedup.
+ONE_SIDED_KEYS = {
+    "traces",
+    "events",
+    "lengths",
+    "pair_seconds",
+    "max_seconds",
+    "speedup",
+    "pair_pruned_share",
+    "max_pruned_share",
+}
+ONE_SIDED_FLOOR = 1.3
+
+#: The kernel-gate sections of BENCH_minplus.json: required keys, the
+#: speedups each reports and their floor.
+MINPLUS_GATE_SECTIONS = {
+    "window_pruning": (
+        WINDOW_PRUNING_KEYS, ("envelope_speedup", "arrival_speedup"), WINDOW_PRUNING_FLOOR
+    ),
+    "streaming_fold": (STREAMING_FOLD_KEYS, ("speedup",), STREAMING_FOLD_FLOOR),
+    "one_sided": (ONE_SIDED_KEYS, ("speedup",), ONE_SIDED_FLOOR),
+}
 
 
 #: Required keys per gate section of BENCH_service.json — the gates in
@@ -291,29 +318,16 @@ def validate_minplus(path: Path) -> None:
                 f"{path}: {section}: backend slower than the reference "
                 f"({payload['speedup']:.2f}x)"
             )
-    window = report.get("window_pruning")
-    if window is None:
-        fail(f"{path}: missing gate section 'window_pruning'")
-    missing = WINDOW_PRUNING_KEYS - window.keys()
-    if missing:
-        fail(f"{path}: window_pruning: missing keys {sorted(missing)}")
-    for key in ("envelope_speedup", "arrival_speedup"):
-        if window[key] < WINDOW_PRUNING_FLOOR:
-            fail(
-                f"{path}: window_pruning: {key} {window[key]:.2f}x below the "
-                f"{WINDOW_PRUNING_FLOOR}x gate"
-            )
-    fold = report.get("streaming_fold")
-    if fold is None:
-        fail(f"{path}: missing gate section 'streaming_fold'")
-    missing = STREAMING_FOLD_KEYS - fold.keys()
-    if missing:
-        fail(f"{path}: streaming_fold: missing keys {sorted(missing)}")
-    if fold["speedup"] < STREAMING_FOLD_FLOOR:
-        fail(
-            f"{path}: streaming_fold: speedup {fold['speedup']:.2f}x below the "
-            f"{STREAMING_FOLD_FLOOR}x gate"
-        )
+    for section, (required, speedups, floor) in MINPLUS_GATE_SECTIONS.items():
+        payload = report.get(section)
+        if payload is None:
+            fail(f"{path}: missing gate section {section!r}")
+        missing = required - payload.keys()
+        if missing:
+            fail(f"{path}: {section}: missing keys {sorted(missing)}")
+        for key in speedups:
+            if payload[key] < floor:
+                fail(f"{path}: {section}: {key} {payload[key]:.2f}x below the {floor}x gate")
 
 
 def validate_service(path: Path) -> None:

@@ -765,6 +765,13 @@ def _obs_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 f"fallbacks {_fmt(float(window['fallback']))} "
                 f"({window['pruned'] / window['lengths']:.1%} pruned)"
             )
+            for op, row in window["by_op"].items():
+                paths = [float(row.get(path, 0)) for path in ("anchor", "pruned", "fallback")]
+                if sum(paths):
+                    print(
+                        f"  {op} {_fmt(sum(paths))}: anchors {_fmt(paths[0])}, "
+                        f"pruned {_fmt(paths[1])}, fallbacks {_fmt(paths[2])}"
+                    )
         stream = {path: int(count) for path, count in window["stream"].items()}
         if stream["lengths"]:
             print(

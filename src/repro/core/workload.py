@@ -52,6 +52,7 @@ from repro.obs.tracing import tracer
 from repro.util.staircase import (
     cumulative_envelope_max,
     cumulative_envelope_min,
+    cumulative_envelope_minmax,
     make_k_grid,
     streaming_envelope_minmax,
 )
@@ -166,12 +167,7 @@ class WorkloadCurve:
         used for long simulation traces (the MPEG-2 case study generates
         tens of thousands of macroblocks per clip).
         """
-        per_event = np.asarray(demands, dtype=float)
-        if per_event.ndim != 1 or per_event.size == 0:
-            raise ValidationError("demands must be a non-empty 1-D sequence")
-        if np.any(per_event <= 0) or not np.all(np.isfinite(per_event)):
-            raise ValidationError("demands must be positive and finite")
-        ks = make_k_grid(per_event.size) if k_values is None else np.asarray(k_values, np.int64)
+        per_event, ks = _demand_vector(demands, k_values)
         with tracer.span(
             "workload.extract", source="demand-array", kind=kind,
             events=int(per_event.size), grid=int(ks.size),
@@ -465,6 +461,20 @@ class WorkloadCurve:
         )
 
 
+def _demand_vector(
+    demands: Sequence[float], k_values: Sequence[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a per-event demand array (non-empty, 1-D, positive, finite)
+    and resolve its window grid (default :func:`make_k_grid`)."""
+    per_event = np.asarray(demands, dtype=float)
+    if per_event.ndim != 1 or per_event.size == 0:
+        raise ValidationError("demands must be a non-empty 1-D sequence")
+    if np.any(per_event <= 0) or not np.all(np.isfinite(per_event)):
+        raise ValidationError("demands must be positive and finite")
+    ks = make_k_grid(per_event.size) if k_values is None else np.asarray(k_values, np.int64)
+    return per_event, ks
+
+
 def _stream_envelopes(
     chunks, kind: str, k_values: Sequence[int] | None, total: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -509,9 +519,15 @@ class WorkloadCurvePair:
     def __init__(self, upper: WorkloadCurve, lower: WorkloadCurve):
         if upper.kind != "upper" or lower.kind != "lower":
             raise ValidationError("pair needs an upper curve and a lower curve")
-        k_max = min(upper.horizon, lower.horizon)
-        ks = np.arange(1, k_max + 1, dtype=np.int64)
-        if np.any(lower(ks) > upper(ks) + 1e-9):
+        if np.array_equal(upper._ks, lower._ks):
+            # on a shared grid, between two grid points the lower curve holds
+            # the earlier sample and the upper curve takes the later one, and
+            # samples never decrease: comparing the samples checks every k
+            exceeds = lower._vs > upper._vs + 1e-9
+        else:
+            ks = np.arange(1, min(upper.horizon, lower.horizon) + 1, dtype=np.int64)
+            exceeds = lower(ks) > upper(ks) + 1e-9
+        if np.any(exceeds):
             raise ValidationError("lower curve exceeds upper curve")
         self.upper = upper
         self.lower = lower
@@ -525,7 +541,15 @@ class WorkloadCurvePair:
         k_values: Sequence[int] | None = None,
     ) -> "WorkloadCurvePair":
         """Extract both curves from one trace (see
-        :meth:`WorkloadCurve.from_trace`)."""
+        :meth:`WorkloadCurve.from_trace`).  With measured demands both
+        curves come from one demand vector, so the pair is one two-sided
+        extraction (:meth:`from_demand_array`); interval demands take a
+        different vector per side (WCET for the upper curve, BCET for the
+        lower), so each side is extracted alone."""
+        if demands == "auto":
+            demands = "measured" if trace.has_measured_demands else "interval"
+        if demands == "measured":
+            return cls.from_demand_array(trace.measured_demands(), k_values=k_values)
         return cls(
             WorkloadCurve.from_trace(trace, "upper", demands=demands, k_values=k_values),
             WorkloadCurve.from_trace(trace, "lower", demands=demands, k_values=k_values),
@@ -536,11 +560,16 @@ class WorkloadCurvePair:
         cls, demands: Sequence[float], *, k_values: Sequence[int] | None = None
     ) -> "WorkloadCurvePair":
         """Fast path of :meth:`from_trace` for a raw per-event demand array
-        (see :meth:`WorkloadCurve.from_demand_array`)."""
-        return cls(
-            WorkloadCurve.from_demand_array(demands, "upper", k_values=k_values),
-            WorkloadCurve.from_demand_array(demands, "lower", k_values=k_values),
-        )
+        (see :meth:`WorkloadCurve.from_demand_array`): both curves from one
+        two-sided extraction,
+        :func:`~repro.util.staircase.cumulative_envelope_minmax`."""
+        per_event, ks = _demand_vector(demands, k_values)
+        with tracer.span(
+            "workload.extract", source="demand-array", kind="pair",
+            events=int(per_event.size), grid=int(ks.size),
+        ):
+            lo, hi = cumulative_envelope_minmax(per_event, ks)
+        return cls(WorkloadCurve("upper", ks, hi), WorkloadCurve("lower", ks, lo))
 
     @classmethod
     def from_demand_stream(

@@ -309,15 +309,18 @@ class PiecewiseLinearCurve:
         f_grid, g_grid = self(grid), other(grid)
         sf, sg = self._slope_at(grid), other._slope_at(grid)
         a, b = grid[:-1], grid[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = a + (g_grid[:-1] - f_grid[:-1]) / (sf[:-1] - sg[:-1])
         crossings = t[(sf[:-1] != sg[:-1]) & (a < t) & (t < b)]
-        # crossing beyond the last breakpoint
+        # crossing beyond the last breakpoint; final slopes that differ by
+        # a subnormal amount put it past the largest float, which is no
+        # crossing
         last, fa, ga = grid[-1], f_grid[-1], g_grid[-1]
         tail = []
         if (fa - ga) * (sf[-1] - sg[-1]) < 0:
-            cross = last + (ga - fa) / (sf[-1] - sg[-1])
-            if cross > last:
+            with np.errstate(over="ignore"):
+                cross = last + (ga - fa) / (sf[-1] - sg[-1])
+            if last < cross < np.inf:
                 tail.append(cross)
         xall = np.unique(np.concatenate((grid, crossings, tail)))
         f_vals, g_vals = self(xall), other(xall)

@@ -270,11 +270,8 @@ def case_study_context(
                         data.pe2_cycles.size, dense_limit=dense_limit, growth=growth
                     )
                     if stream_chunk is None:
-                        gammas_u.append(
-                            WorkloadCurve.from_demand_array(data.pe2_cycles, "upper", k_values=k_grid)
-                        )
-                        gammas_l.append(
-                            WorkloadCurve.from_demand_array(data.pe2_cycles, "lower", k_values=k_grid)
+                        pair = WorkloadCurvePair.from_demand_array(
+                            data.pe2_cycles, k_values=k_grid
                         )
                     else:
                         pair = WorkloadCurvePair.from_demand_stream(
@@ -282,8 +279,8 @@ def case_study_context(
                             k_values=k_grid,
                             total=int(data.pe2_cycles.size),
                         )
-                        gammas_u.append(pair.upper)
-                        gammas_l.append(pair.lower)
+                    gammas_u.append(pair.upper)
+                    gammas_l.append(pair.lower)
                 with obs.tracer.span("case_study.arrival"):
                     n_grid = make_k_grid(
                         data.pe1_output.size, dense_limit=dense_limit, growth=growth

@@ -56,7 +56,9 @@ class Job:
 
     id: str
     op: str
-    params: dict[str, Any]
+    #: The posted parameters, dropped once the job is terminal: only an
+    #: attempt reads them, and no response carries them.
+    params: dict[str, Any] | None
     state: str = "queued"
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
@@ -84,8 +86,10 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def finish(self, state: str) -> None:
-        """Move to a terminal *state* and wake every waiter."""
+        """Move to a terminal *state*, drop the params and wake every
+        waiter."""
         self.state = state
+        self.params = None
         self.finished_at = time.time()
         self.done_event.set()
 

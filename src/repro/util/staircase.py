@@ -42,10 +42,10 @@ def sliding_window_max_sum(values: Sequence[float], k: int) -> float:
 
     Implements ``max_j sum(values[j:j+k])`` — the inner maximization of the
     paper's upper workload curve (eq. (1)) for a single ``k``.  Routed
-    through the memoized :func:`cumulative_envelope_minmax` kernel under
-    the key of ``(values, [k])``: repeating a probe is a cache hit, and the
-    min and max probes of one ``(values, k)`` share an entry, but a probe
-    never hits the entry of a full-grid extraction of the same trace.
+    through the memoized :func:`cumulative_envelope_max` under the key of
+    ``(values, [k])``: repeating a probe is a cache hit, but a probe never
+    hits the entry of the min probe or of a full-grid extraction of the
+    same trace.
 
     Raises
     ------
@@ -53,11 +53,7 @@ def sliding_window_max_sum(values: Sequence[float], k: int) -> float:
         If ``k < 1``, ``k`` exceeds the trace length, or a demand is not
         finite.
     """
-    arr = np.asarray(values, dtype=float)
-    k = check_integer(k, "k", minimum=1)
-    if k > arr.size:
-        raise ValidationError(f"window length k={k} exceeds trace length {arr.size}")
-    return float(cumulative_envelope_minmax(arr, np.array([k], dtype=np.int64))[1][0])
+    return _probe(values, k, cumulative_envelope_max)
 
 
 def sliding_window_min_sum(values: Sequence[float], k: int) -> float:
@@ -65,28 +61,41 @@ def sliding_window_min_sum(values: Sequence[float], k: int) -> float:
 
     Implements ``min_j sum(values[j:j+k])`` — the inner minimization of the
     paper's lower workload curve (eq. (2)) for a single ``k``.  Memoized
-    like :func:`sliding_window_max_sum`; the min and max probes of the same
-    ``(values, k)`` share one cache entry.
+    like :func:`sliding_window_max_sum`, through
+    :func:`cumulative_envelope_min`: the min and max probes of the same
+    ``(values, k)`` are separate cache entries.
     """
+    return _probe(values, k, cumulative_envelope_min)
+
+
+def _probe(values: Sequence[float], k: int, envelope: Callable) -> float:
     arr = np.asarray(values, dtype=float)
     k = check_integer(k, "k", minimum=1)
     if k > arr.size:
         raise ValidationError(f"window length k={k} exceeds trace length {arr.size}")
-    return float(cumulative_envelope_minmax(arr, np.array([k], dtype=np.int64))[0][0])
+    return float(envelope(arr, np.array([k], dtype=np.int64))[0])
 
 
 def cumulative_envelope_max(values: Sequence[float], k_values: Sequence[int]) -> np.ndarray:
     """Vector of :func:`sliding_window_max_sum` evaluated at each ``k``.
 
     ``k_values`` must be sorted, positive, and bounded by ``len(values)``.
-    Returns a float array of the same length as ``k_values``.
+    Returns a float array of the same length as ``k_values``.  Only the
+    maximum side is reduced, so the window kernel prunes against that side
+    alone; each value is the float the matching side of
+    :func:`cumulative_envelope_minmax` returns.  Memoized under
+    ``staircase.envelope_max``.
     """
-    return cumulative_envelope_minmax(values, k_values)[1]
+    (hi,) = _envelope(values, k_values, "envelope_max")
+    return hi
 
 
 def cumulative_envelope_min(values: Sequence[float], k_values: Sequence[int]) -> np.ndarray:
-    """Vector of :func:`sliding_window_min_sum` evaluated at each ``k``."""
-    return cumulative_envelope_minmax(values, k_values)[0]
+    """Vector of :func:`sliding_window_min_sum` evaluated at each ``k``:
+    the minimum side alone, like :func:`cumulative_envelope_max`, memoized
+    under ``staircase.envelope_min``."""
+    (lo,) = _envelope(values, k_values, "envelope_min")
+    return lo
 
 
 def cumulative_envelope_minmax(
@@ -95,32 +104,50 @@ def cumulative_envelope_minmax(
     """Both envelopes, ``(min_sums, max_sums)``, in one pass over the windows.
 
     This is the per-``k`` extraction kernel behind
-    :meth:`repro.core.workload.WorkloadCurve.from_trace`: the window-sum
-    differences are computed once and reduced under ``min`` and ``max``
-    simultaneously, so extracting a :class:`~repro.core.workload
-    .WorkloadCurvePair` costs one sweep instead of two.  Results are
-    memoized by content digest of ``(values, k_values)`` — the second curve
-    of a pair, and any re-extraction during a sweep, is a cache hit.
+    :meth:`repro.core.workload.WorkloadCurvePair.from_demand_array`: the
+    window-sum differences are computed once and reduced under ``min`` and
+    ``max`` simultaneously, so extracting a pair costs one sweep instead of
+    two.  Results are memoized by content digest of ``(values, k_values)``
+    under ``staircase.envelope_minmax``; the one-sided extractions
+    :func:`cumulative_envelope_max` and :func:`cumulative_envelope_min`
+    have entries of their own and never hit this one.
 
     Raises
     ------
     ValidationError
         On malformed ``k_values`` or a demand that is not finite.
     """
+    lo, hi = _envelope(values, k_values, "envelope_minmax")
+    return lo, hi
+
+
+def _envelope(values: Sequence[float], k_values: Sequence[int], op: str) -> list[np.ndarray]:
+    """The memoized one-shot extraction of the sides *op* names."""
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("demands must be finite")
     ks = _check_k_values(k_values, arr.size)
-    key = ("staircase.envelope_minmax", digest_of(arr, ks))
-    lo, hi = kernel_cache.get_or_compute(key, lambda: _envelope_minmax(arr, ks))
-    return lo.copy(), hi.copy()
+    key = (f"staircase.{op}", digest_of(arr, ks))
+    sides = kernel_cache.get_or_compute(key, lambda: _EXTRACT[op](arr, ks))
+    return [side.copy() for side in sides]
 
 
-@instrumented("staircase.envelope_minmax")
-def _envelope_minmax(arr: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    csum = np.concatenate(([0.0], np.cumsum(arr)))
-    lo, hi = _window_extrema(csum, ks, "envelope_minmax")
-    return lo, hi
+def _kernel(op: str, *, minimum: bool = True, maximum: bool = True):
+    """The one-shot extraction of *op*, timed as kernel ``staircase.<op>``."""
+
+    @instrumented(f"staircase.{op}")
+    def extract(arr: np.ndarray, ks: np.ndarray) -> list[np.ndarray]:
+        csum = np.concatenate(([0.0], np.cumsum(arr)))
+        return _window_extrema(csum, ks, op, minimum=minimum, maximum=maximum)
+
+    return extract
+
+
+_EXTRACT = {
+    "envelope_minmax": _kernel("envelope_minmax"),
+    "envelope_max": _kernel("envelope_max", minimum=False),
+    "envelope_min": _kernel("envelope_min", maximum=False),
+}
 
 
 class _Side(NamedTuple):

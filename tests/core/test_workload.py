@@ -229,6 +229,20 @@ class TestPair:
         with pytest.raises(ValidationError, match="exceeds upper"):
             WorkloadCurvePair(up, lo)
 
+    def test_crossing_between_grid_points_rejected(self):
+        """On different grids the curves are compared at every k up to
+        the shorter horizon: at k = 3, off the upper grid, the upper curve
+        takes its value at 4 (4.0) and the lower one is 5.0."""
+        up = WorkloadCurve("upper", [1, 2, 4], [1.0, 2.0, 4.0])
+        lo = WorkloadCurve("lower", [1, 3], [1.0, 5.0])
+        with pytest.raises(ValidationError, match="exceeds upper"):
+            WorkloadCurvePair(up, lo)
+        # on a shared sparse grid the samples decide every k between them
+        WorkloadCurvePair(
+            WorkloadCurve("upper", [1, 4], [2.0, 6.0]),
+            WorkloadCurve("lower", [1, 4], [2.0, 6.0]),
+        )
+
     def test_merge_envelopes(self):
         t1 = EventTrace.from_type_names("aab", PROFILE)
         t2 = EventTrace.from_type_names("bcc", PROFILE)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.curves.arrival import leaky_bucket
@@ -32,6 +32,11 @@ def pwl_curves(draw, max_segments=4):
 
 @given(pwl_curves(), pwl_curves())
 @settings(max_examples=40, deadline=None)
+# final slopes a subnormal apart: the tail crossing overflows to inf
+@example(
+    f=PiecewiseLinearCurve([0.0], [1.0], [0.0]),
+    g=PiecewiseLinearCurve([0.0], [0.0], [2.22507e-313]),
+)
 def test_max_min_exact(f, g):
     m = f.maximum(g)
     mn = f.minimum(g)
@@ -52,6 +57,10 @@ def test_addition_exact(f, g):
 
 @given(pwl_curves(), pwl_curves())
 @settings(max_examples=25, deadline=None)
+@example(
+    f=PiecewiseLinearCurve([0.0], [1.0], [0.0]),
+    g=PiecewiseLinearCurve([0.0], [0.0], [4.94066e-324]),
+)
 def test_convolution_below_both_translates(f, g):
     """(f⊗g)(Δ) <= f(0⁺-free) evaluations: conv is below f(Δ)+g(0)=... and
     below min at plausible split points (soundness of the inf)."""

@@ -49,12 +49,11 @@ def jumpy_curves(draw, max_segments=4):
 
 
 def brute_deconvolve(f, g, d, u_max, n=2000):
+    """``max_u f(d + u) - g(u)`` over *n* samples ``u`` of ``[0, u_max]``,
+    ``g(0)`` read as 0; each term is the float a scalar evaluation gives."""
     us = np.linspace(0.0, u_max, n)
-    best = -np.inf
-    for u in us:
-        gv = 0.0 if u == 0 else float(g(u))
-        best = max(best, float(f(d + u)) - gv)
-    return best
+    gv = np.where(us == 0, 0.0, g(us))
+    return float(np.max(f(d + us) - gv))
 
 
 def convolve_at_tolerance(f, g, d, brute):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.perf as perf
-from repro.core.workload import WorkloadCurve
+from repro.core.workload import WorkloadCurve, WorkloadCurvePair
 from repro.curves.arrival import leaky_bucket
 from repro.curves.curve import PiecewiseLinearCurve, step_curve
 from repro.curves.minplus import convolve, deconvolve, self_convolution_fixpoint
@@ -257,10 +257,40 @@ class TestDigests:
         assert a == b  # approximate equality...
         assert a.content_digest() != b.content_digest()  # ...exact digests
 
-    def test_envelope_cache_shared_between_min_and_max(self):
+    def test_envelope_cache_keys_per_side(self):
+        """A pair is one two-sided entry; a single curve is an entry of its
+        own side and counts its window lengths under that side's op only."""
         demands = np.arange(1.0, 41.0)
         ks = np.arange(1, 41)
-        cumulative_envelope_max(demands, ks)
-        cumulative_envelope_min(demands, ks)  # same key: pure hit
-        per_op = perf.cache_stats()["per_op"]["staircase.envelope_minmax"]
-        assert per_op == {"hits": 1, "misses": 1}
+        ops = ("envelope_minmax", "envelope_max", "envelope_min")
+
+        def per_op():
+            stats = perf.cache_stats()["per_op"]
+            return {op: stats.get(f"staircase.{op}") for op in ops}
+
+        def lengths():
+            return {
+                op: sum(
+                    registry.counter("staircase.window_lengths", op=op, path=path).value
+                    for path in ("anchor", "pruned", "fallback")
+                )
+                for op in ops
+            }
+
+        WorkloadCurvePair.from_demand_array(demands, k_values=ks)
+        assert per_op() == {
+            "envelope_minmax": {"hits": 0, "misses": 1}, "envelope_max": None, "envelope_min": None
+        }
+        WorkloadCurvePair.from_demand_array(demands, k_values=ks)
+        pair = {"hits": 1, "misses": 1}
+        assert per_op()["envelope_minmax"] == pair
+        sides = {"envelope_max": cumulative_envelope_max, "envelope_min": cumulative_envelope_min}
+        for op, extract in sides.items():
+            before = lengths()
+            extract(demands, ks)
+            after = lengths()
+            assert per_op()[op] == {"hits": 0, "misses": 1}
+            assert per_op()["envelope_minmax"] == pair
+            assert {o: after[o] - before[o] for o in ops} == {
+                o: ks.size if o == op else 0 for o in ops
+            }

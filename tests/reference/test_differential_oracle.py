@@ -90,6 +90,22 @@ def _random_curve(rng: np.random.Generator) -> PiecewiseLinearCurve:
     return linear_curve(float(rng.uniform(0.1, 5.0)))
 
 
+@pytest.fixture(scope="module")
+def brute():
+    """``brute(oracle, f, g, delta)``: ``oracle(f, g, delta)``, computed
+    once per distinct argument.  Both cache params of a test draw the same
+    cases, so they share each brute-force value."""
+    values: dict[tuple, float] = {}
+
+    def value(oracle, f: PiecewiseLinearCurve, g: PiecewiseLinearCurve, delta: float) -> float:
+        key = (oracle.__name__, f.content_digest(), g.content_digest(), delta)
+        if key not in values:
+            values[key] = oracle(f, g, delta)
+        return values[key]
+
+    return value
+
+
 def _random_deltas(rng: np.random.Generator, curves) -> list[float]:
     """Probe deltas: random, plus breakpoints and near-breakpoint offsets."""
     bps = np.concatenate([c.breakpoints for c in curves])
@@ -105,14 +121,14 @@ def _random_deltas(rng: np.random.Generator, curves) -> list[float]:
 # ---------------------------------------------------------------------------
 
 class TestConvolutionOracle:
-    def test_randomized_convolve_matches_brute(self):
+    def test_randomized_convolve_matches_brute(self, brute):
         rng = np.random.default_rng(2026_08_06)
         for case in range(N_CASES):
             f = _random_curve(rng)
             g = _random_curve(rng)
             fast = convolve(f, g)
             for delta in _random_deltas(rng, (f, g)):
-                expected = convolve_at_brute(f, g, delta)
+                expected = brute(convolve_at_brute, f, g, delta)
                 got_curve = fast(delta)
                 got_point = convolve_at(f, g, delta)
                 tol = REL_TOL * max(1.0, abs(expected))
@@ -124,7 +140,7 @@ class TestConvolutionOracle:
                     # the curve stores the right limit at 0 (the combined
                     # burst); the conventional value (f⊗g)(0) = 0 is what
                     # the point operator returns
-                    right = convolve_at_brute(f, g, 1e-9)
+                    right = brute(convolve_at_brute, f, g, 1e-9)
                     assert got_curve == pytest.approx(right, rel=1e-6, abs=1e-6)
                     continue
                 # the constructed curve may sit below the right limit only
@@ -146,7 +162,7 @@ class TestConvolutionOracle:
                 expected = convolve_at_brute(f, g, delta)
                 assert fast(delta) == pytest.approx(expected, rel=REL_TOL, abs=1e-9)
 
-    def test_randomized_deconvolve_matches_brute(self):
+    def test_randomized_deconvolve_matches_brute(self, brute):
         rng = np.random.default_rng(1896)
         checked = 0
         while checked < N_CASES:
@@ -158,7 +174,7 @@ class TestConvolutionOracle:
             )
             fast = deconvolve(f, g)
             for delta in _random_deltas(rng, (f, g)):
-                expected = deconvolve_at_brute(f, g, delta)
+                expected = brute(deconvolve_at_brute, f, g, delta)
                 got_point = deconvolve_at(f, g, delta)
                 tol = REL_TOL * max(1.0, abs(expected))
                 assert abs(got_point - expected) <= 1e-7 * max(1.0, abs(expected))
@@ -166,7 +182,7 @@ class TestConvolutionOracle:
                 # the sup curve may exceed the pointwise brute value only by
                 # the epsilon-probe band at jumps: compare against the next
                 # probe to the right as well
-                probe = deconvolve_at_brute(f, g, delta + 1e-9 * max(1.0, delta))
+                probe = brute(deconvolve_at_brute, f, g, delta + 1e-9 * max(1.0, delta))
                 assert fast(delta) <= max(expected, probe) + 1e-6 * max(1.0, abs(expected))
             checked += 1
 

@@ -9,12 +9,13 @@ path is covered by the client/server integration test and CI smoke.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs.metrics import registry
-from repro.service import ops
+from repro.service import ops, protocol
 from repro.service.admission import AdmissionController
 from repro.service.daemon import AnalysisService, ServiceClosed
 from repro.service.ops import UnknownOperation
@@ -96,6 +97,41 @@ class TestLifecycle:
             b = await svc.submit("sleep", {"seconds": 0})
             assert a.seed is not None and b.seed is not None
             assert a.seed != b.seed
+            await svc.drain()
+
+        run(body())
+
+
+class TestRetention:
+    def test_terminal_jobs_drop_their_params(self):
+        """A terminal job keeps no posted params, and its ``status`` and
+        ``result`` responses read the bytes they read with the params
+        kept."""
+
+        async def body():
+            svc = make_service(workers=1, queue_limit=3, executor=ThreadPoolExecutor(1))
+            await svc.start()
+            posted = [
+                ("curve", {"demands": [1.0, 4.0, 2.0]}),
+                ("curve", {"demands": []}),
+                ("sleep", {"seconds": 0}),
+                ("sleep", {"seconds": 0}),
+            ]
+            # submit() never yields: three jobs queue, the fourth is shed
+            jobs = [await svc.submit(op, dict(params)) for op, params in posted]
+            assert svc.cancel(jobs[2].id) is True
+            for job in jobs[:2]:
+                await svc.result(job.id, timeout_s=10)
+            assert [j.state for j in jobs] == ["done", "failed", "cancelled", "shed"]
+            for job, (_, params) in zip(jobs, posted):
+                assert job.params is None
+                kept = dataclasses.replace(job, params=params)
+                for with_result in (False, True):
+                    assert protocol.encode(
+                        protocol.ok_response(1, job=job.to_dict(with_result=with_result))
+                    ) == protocol.encode(
+                        protocol.ok_response(1, job=kept.to_dict(with_result=with_result))
+                    )
             await svc.drain()
 
         run(body())

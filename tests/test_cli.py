@@ -228,6 +228,35 @@ class TestObsCli:
             in out
         )
 
+    def test_report_window_line_per_op(self, capsys, tmp_path):
+        """A ramp's maxima sit at its end and its minima at its start: the
+        max side alone prunes 74 of 200 lengths, the pair, whose
+        candidates are the union of both sides', 11."""
+        import numpy as np
+
+        import repro.perf as perf
+        from repro.core.workload import WorkloadCurvePair
+        from repro.obs.metrics import registry
+        from repro.util.staircase import cumulative_envelope_max
+
+        registry.reset("staircase.window_lengths")
+        ramp = np.linspace(1.0, 2.0, 200) + np.random.default_rng(4).uniform(0.0, 0.01, 200)
+        perf.configure(enabled=False)  # count the kernel's lengths, not a memo hit
+        try:
+            cumulative_envelope_max(ramp, np.arange(1, 201))
+            WorkloadCurvePair.from_demand_array(ramp)
+        finally:
+            perf.configure(enabled=True)
+        metrics = tmp_path / "window.json"
+        metrics.write_text(json.dumps(registry.snapshot()))
+        assert main(["obs", "report", "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "window lengths 400: anchors 315, pruned 85, fallbacks 0 (21.2% pruned)\n"
+            "  envelope_max 200: anchors 126, pruned 74, fallbacks 0\n"
+            "  envelope_minmax 200: anchors 189, pruned 11, fallbacks 0\n"
+        ) in out
+
     def test_report_stream_fold_line(self, capsys, tmp_path):
         """40 demands streamed in chunks of 16 over the lengths 1..24, 32
         and 40: each chunk folds the open part of 1..24 as one block (16,

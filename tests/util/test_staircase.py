@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.curves.arrival import maximal_window_lengths, minimal_window_lengths
@@ -227,6 +227,45 @@ class TestWindowKernel:
         ns, d = minimal_window_lengths(ts)
         assert _bits(d) == _bits(_plain_extrema(ts, ns - 1)[0])
         assert _fallbacks("min_window") - before >= 1
+
+
+@st.composite
+def _one_sided_case(draw):
+    """A demand trace of a family that stresses ties and signs, and a
+    dense, sparse or geometric window grid over it."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = _family(draw(st.sampled_from(("tied", "constant", "signed", "zeros", "giant"))), n, rng)
+    grid = draw(st.sampled_from(("dense", "sparse", "geometric")))
+    if grid == "dense":
+        ks = np.arange(1, n + 1)
+    elif grid == "sparse":
+        ks = np.flatnonzero(rng.random(n) < 0.1) + 1
+        ks = ks if ks.size else np.array([n])
+    else:
+        limit = draw(st.integers(min_value=1, max_value=64))
+        ks = make_k_grid(n, dense_limit=limit, growth=draw(st.sampled_from((1.02, 1.1, 1.5))))
+    return values, ks.astype(np.int64)
+
+
+def _opened_by_negative_zeros():
+    """1,000 demands whose first 40 are ``-0.0``: the minimum side alone
+    has zero extrema that only the fallback's full pass signs right."""
+    values = np.random.default_rng(5).uniform(1.0, 2.0, 1000)
+    values[:40] = -0.0
+    return values, np.arange(1, 1001, dtype=np.int64)
+
+
+@given(_one_sided_case())
+@settings(max_examples=150, deadline=None)
+@example(case=_opened_by_negative_zeros())
+def test_one_sided_envelopes_match_the_pair(case):
+    """Each one-sided extraction returns its side of the two-sided one,
+    byte for byte: the sign of a zero included."""
+    values, ks = case
+    lo, hi = cumulative_envelope_minmax(values, ks)
+    assert _bits(cumulative_envelope_max(values, ks)) == _bits(hi)
+    assert _bits(cumulative_envelope_min(values, ks)) == _bits(lo)
 
 
 class TestMonotoneHelpers:
