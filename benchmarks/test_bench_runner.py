@@ -16,8 +16,8 @@ Three acceptance gates, all written to ``BENCH_runner.json``:
   (6 FIFO sizes x bisect on/off, 4096-item validation trace, low-fidelity
   context) with the memo on must run at least 2x faster than with it
   off, with identical point data: the points share one validation trace,
-  so with the memo its arrival window lengths and demand envelopes are
-  extracted once.
+  so with the memo it is generated and characterized once (one miss and
+  11 hits of the ``sim.validate.trace`` op).
 """
 
 import json
@@ -146,7 +146,7 @@ def test_sweep_validation_memo_speedup():
     frequency_backlog_point(buffer_size=SWEEP_BUFFERS[0], **SWEEP_POINT)  # warm the context
     perf.reset()
     on_seconds, on_data = _sweep_validation_points()
-    window_memo = perf.cache_stats()["per_op"]["curves.min_window"]
+    trace_memo = perf.cache_stats()["per_op"]["sim.validate.trace"]
     perf.configure(enabled=False)
     try:
         off_seconds, off_data = _sweep_validation_points()
@@ -164,9 +164,9 @@ def test_sweep_validation_memo_speedup():
             "memo_on_ms_per_point": on_seconds / points * 1e3,
             "memo_off_ms_per_point": off_seconds / points * 1e3,
             "speedup": speedup,
-            "min_window_hits": window_memo["hits"],
-            "min_window_misses": window_memo["misses"],
+            "trace_hits": trace_memo["hits"],
+            "trace_misses": trace_memo["misses"],
         },
     )
-    assert window_memo == {"hits": points - 1, "misses": 1}
+    assert trace_memo == {"hits": points - 1, "misses": 1}
     assert speedup >= 2.0, f"sweep validation {speedup:.2f}x below the 2x gate"

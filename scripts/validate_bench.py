@@ -232,8 +232,8 @@ SWEEP_VALIDATION_KEYS = {
     "memo_on_ms_per_point",
     "memo_off_ms_per_point",
     "speedup",
-    "min_window_hits",
-    "min_window_misses",
+    "trace_hits",
+    "trace_misses",
 }
 SWEEP_VALIDATION_FLOOR = 2.0
 

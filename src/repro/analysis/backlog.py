@@ -29,7 +29,6 @@ from repro.curves.bounds import backlog_bound as _vertical_deviation
 from repro.curves.curve import EPS_REL, PiecewiseLinearCurve
 from repro.curves.minplus import UnboundedCurveError
 from repro.analysis.conversion import arrival_events_to_cycles, scale_arrival_by_wcet
-from repro.perf.batch import evaluate_at_many
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
 
@@ -79,6 +78,7 @@ def backlog_bound_events(
     gamma_u: WorkloadCurve,
     *,
     deltas: np.ndarray | None = None,
+    arrived: np.ndarray | None = None,
 ) -> float:
     """Eq. (7): maximum number of events backlogged in front of the PE.
 
@@ -91,7 +91,8 @@ def backlog_bound_events(
     zero-latency service curves ``F·Δ``, whose only breakpoint is 0, so
     ``candidate_deltas(alpha, β_F)`` is the same array for every ``F``
     and can be hoisted out of the sweep loop (it must cover
-    :func:`candidate_deltas` of the actual pair to stay exact).
+    :func:`candidate_deltas` of the actual pair to stay exact).  *arrived*
+    optionally supplies ``alpha_events(deltas)``, hoisted the same way.
     """
     if gamma_u.kind != "upper":
         raise ValidationError("backlog bound needs an upper workload curve")
@@ -103,8 +104,9 @@ def backlog_bound_events(
         )
     if deltas is None:
         deltas = candidate_deltas(alpha_events, beta)
-    arrived, served_cycles = evaluate_at_many([alpha_events, beta], deltas)
-    served_events = gamma_u.pseudo_inverse(served_cycles)
+    if arrived is None:
+        arrived = alpha_events(deltas)
+    served_events = gamma_u.pseudo_inverse(beta(deltas))
     return float(np.max(arrived - served_events))
 
 

@@ -214,8 +214,9 @@ class FrequencySweepEvaluator:
     (:func:`_sup_candidates`), the arrival counts over them, an optional
     conservative compaction of the arrival curve
     (:func:`repro.curves.compact.compact_upper` — pointwise >=, so every
-    derived bound stays valid), and, per distinct buffer size, the
-    ``γ^u`` cycle demands.  A feasibility check then costs one vectorized
+    derived bound stays valid), per distinct buffer size the ``γ^u``
+    cycle demands, and the eq. (7) candidate windows with ``ᾱ`` on them
+    (:meth:`backlog_grid`).  A feasibility check then costs one vectorized
     comparison; :meth:`bisect` needs ~20 of them where a dense scan needs
     hundreds.
 
@@ -253,7 +254,7 @@ class FrequencySweepEvaluator:
         # per-buffer-size (deltas, demanded cycles) — the γ^u lookups are
         # shared by every frequency probed at that buffer size
         self._per_buffer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._backlog_deltas: np.ndarray | None = None
+        self._backlog_grid: tuple[np.ndarray, np.ndarray] | None = None
 
     def _demands(self, buffer_size: int) -> tuple[np.ndarray, np.ndarray]:
         buffer_size = check_integer(buffer_size, "buffer_size", minimum=1)
@@ -304,21 +305,27 @@ class FrequencySweepEvaluator:
             return 0.0
         return float(np.max(demanded) / np.min(deltas))
 
-    def backlog_events(self, frequency: float) -> float:
-        """Eq. (7) event backlog behind the zero-latency service ``F·Δ``.
+    def backlog_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eq. (7) candidate windows and ``ᾱ`` on them, the same for
+        every service ``F·Δ`` (its sole breakpoint is 0)."""
+        if self._backlog_grid is None:
+            from repro.analysis.backlog import candidate_deltas
+            from repro.curves.service import full_processor
 
-        The candidate window grid depends only on the arrival side (the
-        service curve's sole breakpoint is 0), so it is computed once and
-        reused for every frequency of the sweep.
-        """
-        from repro.analysis.backlog import backlog_bound_events, candidate_deltas
+            deltas = candidate_deltas(self.alpha, full_processor(1.0))
+            self._backlog_grid = (deltas, self.alpha(deltas))
+        return self._backlog_grid
+
+    def backlog_events(self, frequency: float) -> float:
+        """Eq. (7) event backlog behind the zero-latency service ``F·Δ``,
+        on the hoisted :meth:`backlog_grid`."""
+        from repro.analysis.backlog import backlog_bound_events
         from repro.curves.service import rate_latency
 
         beta = rate_latency(float(frequency), 0.0)
-        if self._backlog_deltas is None:
-            self._backlog_deltas = candidate_deltas(self.alpha, beta)
+        deltas, arrived = self.backlog_grid()
         return backlog_bound_events(
-            self.alpha, beta, self.gamma_u, deltas=self._backlog_deltas
+            self.alpha, beta, self.gamma_u, deltas=deltas, arrived=arrived
         )
 
     @instrumented("frequency.bisect")

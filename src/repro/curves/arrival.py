@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.curves.curve import PiecewiseLinearCurve, step_curve
-from repro.perf.cache import digest_of, kernel_cache
 from repro.util.staircase import _window_extrema
 from repro.util.validation import (
     ValidationError,
@@ -110,15 +109,12 @@ def minimal_window_lengths(
     events of the trace: ``d_n = min_i (t[i+n-1] - t[i])``.
 
     Returns ``(n_values, d)``; *n_values* defaults to ``1..N``.  This is the
-    exact information content of the trace's upper arrival curve.  Results
-    are memoized by content digest of ``(timestamps, n_values)``, like
-    :func:`~repro.util.staircase.cumulative_envelope_minmax`: a trace
-    characterized again (the validation trace of every point of a
-    ``sweep --sim-validate`` on one seed) is a cache hit.
+    exact information content of the trace's upper arrival curve.
     """
     ts = _check_timestamps(timestamps)
     ns = _check_n_values(n_values, ts.size)
-    return ns, _window_lengths(ts, ns, "min_window")
+    (d,) = _window_extrema(ts, ns - 1, "min_window", maximum=False)
+    return ns, d
 
 
 def maximal_window_lengths(
@@ -126,24 +122,11 @@ def maximal_window_lengths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each event count ``n`` the maximal span of ``n`` consecutive
     events: ``D_n = max_i (t[i+n-1] - t[i])`` — the dual of
-    :func:`minimal_window_lengths`, used for the lower arrival curve, and
-    memoized the same way."""
+    :func:`minimal_window_lengths`, used for the lower arrival curve."""
     ts = _check_timestamps(timestamps)
     ns = _check_n_values(n_values, ts.size)
-    return ns, _window_lengths(ts, ns, "max_window")
-
-
-def _window_lengths(ts: np.ndarray, ns: np.ndarray, op: str) -> np.ndarray:
-    """The memoized window-span extremum of both window-length functions;
-    *op* is ``"min_window"`` or ``"max_window"``."""
-    minimum = op == "min_window"
-
-    def compute() -> np.ndarray:
-        (d,) = _window_extrema(ts, ns - 1, op, minimum=minimum, maximum=not minimum)
-        return d
-
-    key = (f"curves.{op}", digest_of(ts, ns))
-    return kernel_cache.get_or_compute(key, compute, copy=True)
+    (d,) = _window_extrema(ts, ns - 1, "max_window", minimum=False)
+    return ns, d
 
 
 def from_trace_upper(

@@ -27,9 +27,10 @@ def streaming_envelope_brute(
     length), folded chunk by chunk and length by length.
 
     Each chunk's prefix sums continue the running total (``cumsum`` seeded
-    with the last one), and the trailing ``max(k_values)`` of them are
-    kept for the windows that cross into the next chunk.  Empty chunks
-    are skipped.
+    with the last one; the first chunk's start from its first demand, as
+    a one-shot ``cumsum`` does), and the trailing ``max(k_values)`` of
+    them are kept for the windows that cross into the next chunk.  Empty
+    chunks are skipped.
     """
     ks = [int(k) for k in k_values]
     k_max = ks[-1]
@@ -41,8 +42,12 @@ def streaming_envelope_brute(
         arr = np.asarray(chunk, dtype=float)
         if arr.size == 0:
             continue
+        if seen:
+            new = np.cumsum(np.concatenate((tail[-1:], arr)))
+        else:
+            new = np.concatenate((tail, np.cumsum(arr)))
         # ext[m - base] = csum[m]
-        ext = np.concatenate((tail[:-1], np.cumsum(np.concatenate((tail[-1:], arr)))))
+        ext = np.concatenate((tail[:-1], new))
         base = seen - (tail.size - 1)
         prev, seen = seen, seen + arr.size
         for i, k in enumerate(ks):

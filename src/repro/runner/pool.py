@@ -49,7 +49,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import registry
@@ -213,21 +212,33 @@ def process_pool(
     ``spawn`` otherwise) that attach the disk cache at *cache_dir* with
     *shards* shards on start, so every worker shares warm kernel results
     through the filesystem; None when the pool cannot be built."""
-    initializer = None
-    if cache_dir:
-        from repro.perf.cache import attach_disk_cache
-
-        initializer = partial(attach_disk_cache, cache_dir, shards=shards)
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     try:
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(method),
-            initializer=initializer,
+            initializer=_start_worker,
+            initargs=(cache_dir, shards),
         )
     except (OSError, ValueError):
         # e.g. no /dev/shm semaphores in a locked-down sandbox
         return None
+
+
+def _start_worker(cache_dir: str | None, shards: int | None) -> None:
+    """Initializer of a :func:`process_pool` worker.
+
+    SIGTERM takes its default action again: a forked worker inherits the
+    daemon's drain handler and the event loop's signal wakeup fd, so a
+    SIGTERM sent to the worker (as a broken pool's clean-up does) would
+    survive it and stop the daemon instead.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if cache_dir:
+        from repro.perf.cache import attach_disk_cache
+
+        attach_disk_cache(cache_dir, shards=shards)
 
 
 # ---------------------------------------------------------------------------

@@ -207,35 +207,48 @@ def _validate_against_simulation(
     then unbounded by eq. (7)'s feasibility condition).  Results are
     also published as ``sim.validate.*`` gauges so they land in run
     manifests.
+
+    What does not depend on the frequency is computed once per trace,
+    under the kernel-cache op ``sim.validate.trace`` keyed by the scalars
+    that fix the trace: its read-only arrivals and demands, and a
+    :class:`~repro.analysis.frequency.FrequencySweepEvaluator` over its
+    own curves with the eq. (7) grid and ``ᾱ`` on it hoisted.
     """
-    from repro.analysis.backlog import backlog_bound_events
+    from repro.analysis.frequency import FrequencySweepEvaluator
     from repro.core.workload import WorkloadCurve
     from repro.curves.arrival import from_trace_upper
     from repro.curves.minplus import UnboundedCurveError
-    from repro.curves.service import rate_latency
     from repro.obs.metrics import registry
+    from repro.perf.cache import kernel_cache
     from repro.simulation import WorkloadSpec, replay_chain
     from repro.util.staircase import make_k_grid
 
-    spec = WorkloadSpec(
-        model="poisson",
-        items=items,
-        mean_interarrival=1.0 / arrival_rate,
-        demand_mean=demand_mean,
-    )
-    workload = spec.generate(seed)
-    grid = make_k_grid(workload.items)
-    alpha = from_trace_upper(workload.arrivals, n_values=grid)
-    gamma_u = WorkloadCurve.from_demand_array(
-        workload.stage_demands(0), "upper", k_values=grid
-    )
-    try:
-        bound: float | None = backlog_bound_events(
-            alpha, rate_latency(frequency, 0.0), gamma_u
+    def characterize():
+        spec = WorkloadSpec(
+            model="poisson",
+            items=items,
+            mean_interarrival=1.0 / arrival_rate,
+            demand_mean=demand_mean,
         )
+        workload = spec.generate(seed)
+        grid = make_k_grid(workload.items)
+        evaluator = FrequencySweepEvaluator(
+            from_trace_upper(workload.arrivals, n_values=grid),
+            WorkloadCurve.from_demand_array(
+                workload.stage_demands(0), "upper", k_values=grid
+            ),
+        )
+        for array in (workload.arrivals, workload.demands, *evaluator.backlog_grid()):
+            array.flags.writeable = False
+        return workload.arrivals, workload.demands, evaluator
+
+    key = ("sim.validate.trace", items, arrival_rate, demand_mean, seed)
+    arrivals, demands, evaluator = kernel_cache.get_or_compute(key, characterize)
+    try:
+        bound: float | None = evaluator.backlog_events(frequency)
     except UnboundedCurveError:
         bound = None
-    result = replay_chain(workload.arrivals, workload.demands, frequency)
+    result = replay_chain(arrivals, demands, frequency)
     observed = result.max_backlogs[0]
     registry.gauge("sim.validate.observed").set_max(observed)
     if bound is not None:

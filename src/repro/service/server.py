@@ -8,7 +8,8 @@ socket plumbing).  Either way, one :class:`~repro.service.daemon.
 AnalysisService` instance backs every connection.
 
 A ``shutdown`` request drains the service (graceful by default) and
-stops the server; so does SIGINT/SIGTERM.
+stops the server; so do SIGINT and, when the server runs in the main
+thread, SIGTERM.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import signal
 import sys
+import threading
 from typing import Any, Awaitable, Callable
 
 from repro.service import protocol
@@ -160,6 +163,16 @@ async def _session(
             await writer.wait_closed()
 
 
+def _stop_on_sigterm(stop: Callable[[bool], None]) -> None:
+    """Have SIGTERM call ``stop(True)`` on the running loop, so that it
+    drains the service the way a ``shutdown`` request does instead of
+    killing the process and orphaning its pool workers.  Only the main
+    thread can set a signal handler; a server run in another thread keeps
+    the default."""
+    if threading.current_thread() is threading.main_thread():
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop, True)
+
+
 async def serve_unix(
     service: AnalysisService,
     path: str,
@@ -184,6 +197,7 @@ async def serve_unix(
         limit=protocol.MAX_LINE_BYTES,
     )
     await service.start()
+    _stop_on_sigterm(stop)
     if ready is not None:
         ready()
     try:
@@ -212,6 +226,7 @@ async def serve_stdio(service: AnalysisService) -> None:
     def stop(drain: bool) -> None:
         reader.feed_eof()
 
+    _stop_on_sigterm(stop)
     try:
         await _session(service, reader, writer, stop)
     finally:

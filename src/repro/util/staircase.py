@@ -373,8 +373,12 @@ def _streaming_minmax(
             raise ValidationError("demands must be finite")
         prev, seen = seen, seen + arr.size
         # seeding with csum[prev] reproduces the one-shot cumsum's
-        # sequential float additions exactly
-        new = np.cumsum(np.concatenate((tail[-1:], arr)))
+        # sequential float additions exactly; the first chunk starts from
+        # its first demand, as that cumsum does (0.0 + -0.0 is +0.0)
+        if prev:
+            new = np.cumsum(np.concatenate((tail[-1:], arr)))
+        else:
+            new = np.concatenate((tail, np.cumsum(arr)))
         # zeros in front, for the lengths longer than prev + 1 to read as
         # whole rows (see _StreamFold.block)
         pad = max(0, min(seen, k_max) - prev - 1)
@@ -499,10 +503,10 @@ class _StreamFold:
 
         A row whose extremum on either side is zero is left unfolded:
         ``0.0 == -0.0``, and only the per-length order fixes which one the
-        running value keeps.  (No prefix sum of the fold is ``-0.0`` and
-        an exact difference is ``-0.0`` only from ``-0.0 - 0.0``, so under
-        IEEE rounding a zero sum is ``+0.0``; the re-pass keeps the fold
-        exact where subnormal results are flushed to zero.)
+        running value keeps.  (A zero sum is ``-0.0`` only as
+        ``-0.0 - 0.0``: a window that starts at the stream's first
+        demand, when the demands up to its end are all ``-0.0``, so their
+        prefix sums are ``-0.0`` as in the one-shot kernel's cumsum.)
         """
         k0, k1 = self.lengths[i], self.lengths[j - 1]
         first = max(k0, c.prev + 1)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf as perf
 from repro.curves.arrival import (
     from_trace_lower,
     from_trace_upper,
@@ -212,51 +211,3 @@ class TestStaircaseOracle:
         assert curve.breakpoints.tobytes() == np.array(xs).tobytes()
         assert curve.values_at_breakpoints.tobytes() == np.array(ys).tobytes()
 
-
-class TestWindowLengthMemo:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        perf.reset()
-        perf.configure(enabled=True)
-        yield
-        perf.reset()
-        perf.configure(enabled=True)
-
-    @pytest.mark.parametrize(
-        "fn, op",
-        [
-            (minimal_window_lengths, "curves.min_window"),
-            (maximal_window_lengths, "curves.max_window"),
-        ],
-    )
-    def test_mutating_a_result_leaves_later_hits_intact(self, fn, op):
-        ts = np.cumsum(np.random.default_rng(11).exponential(1.0, 300))
-        _, d = fn(ts)
-        expected = d.copy()
-        d[:] = -1.0
-        _, again = fn(ts)
-        assert perf.cache_stats()["per_op"][op] == {"hits": 1, "misses": 1}
-        assert again.tobytes() == expected.tobytes()
-
-    def test_sweep_points_on_one_seed_extract_the_trace_once(self, small_context):
-        from repro.runner.tasks import frequency_backlog_point
-
-        def points():
-            return [
-                frequency_backlog_point(
-                    buffer_size=b,
-                    frames=12,
-                    dense_limit=512,
-                    growth=1.05,
-                    sim_validate=True,
-                    sim_items=1024,
-                    sim_seed=3,
-                ).data
-                for b in (810, 1620)
-            ]
-
-        memo_on = points()
-        assert perf.cache_stats()["per_op"]["curves.min_window"] == {"hits": 1, "misses": 1}
-        perf.configure(enabled=False)
-        memo_off = points()
-        assert memo_on == memo_off

@@ -342,6 +342,24 @@ class TestStreaming:
         assert np.array_equal(lo, lo1)
         assert np.array_equal(hi, hi1)
 
+    def test_leading_negative_zero_demands_keep_their_sign(self):
+        """The first prefix sums are the demands' own -0.0, as in the
+        one-shot cumsum (a fold seeded with 0.0 made them +0.0, and
+        ``lo[38]``, ``lo[39]`` read +0.0 where the one-shot kernel reads
+        -0.0)."""
+        values = np.random.default_rng(0).uniform(1.0, 2.0, 2000)
+        values[:40] = -0.0
+        ks = np.arange(1, 1001, dtype=np.int64)
+        chunks = _split(values, [1000])
+        lo1, hi1 = cumulative_envelope_minmax(values, ks)
+        assert np.signbit(lo1[[38, 39]]).all()
+        for lo, hi in (
+            streaming_envelope_minmax(chunks, ks),
+            streaming_envelope_brute(chunks, ks),
+        ):
+            assert lo.tobytes() == lo1.tobytes()
+            assert hi.tobytes() == hi1.tobytes()
+
     def test_window_spanning_many_chunks(self):
         # k_max wider than any single chunk: windows cross every boundary
         arr = np.arange(1.0, 41.0)
