@@ -335,7 +335,6 @@ class FrequencySweepEvaluator:
         *,
         rel_tol: float = 1e-4,
         f_hi: float | None = None,
-        tolerance: float = 1e-6,
     ) -> FrequencyBound:
         """Eq. (9) by bisection on the monotone eq. (8) feasibility.
 
@@ -344,9 +343,10 @@ class FrequencySweepEvaluator:
         ``F_min`` without ever materializing the ratio sweep: the bracket
         ``[0, f_hi]`` (seeded by :meth:`upper_bracket` when *f_hi* is not
         given) halves until its width is below ``rel_tol`` of the result.
-        The returned frequency is a feasible point within ``rel_tol`` (+
-        the *tolerance* slack of the oracle) of ``F_min``; the critical
-        window is attributed from the warm demand table.
+        Feasibility is tested with zero slack, so the returned frequency
+        satisfies eq. (8) as evaluated and lies within ``rel_tol`` above
+        the closed-form ``F_min``, never below it by more than rounding.
+        The critical window is attributed from the warm demand table.
         """
         deltas, demanded = self._demands(buffer_size)
         if deltas.size == 0:
@@ -354,7 +354,7 @@ class FrequencySweepEvaluator:
         hi = float(f_hi) if f_hi is not None else self.upper_bracket(buffer_size)
         check_positive(hi, "f_hi")
         guard = 0
-        while not self.verify(buffer_size, hi, tolerance=tolerance):
+        while not self.verify(buffer_size, hi, tolerance=0.0):
             hi *= 2.0
             guard += 1
             if guard > 60:
@@ -362,7 +362,7 @@ class FrequencySweepEvaluator:
         lo = 0.0
         while hi - lo > rel_tol * hi:
             mid = 0.5 * (lo + hi)
-            if self.verify(buffer_size, mid, tolerance=tolerance):
+            if self.verify(buffer_size, mid, tolerance=0.0):
                 hi = mid
             else:
                 lo = mid
@@ -377,14 +377,13 @@ class FrequencySweepEvaluator:
         n_grid: int = 512,
         f_lo: float | None = None,
         f_hi: float | None = None,
-        tolerance: float = 1e-6,
     ) -> FrequencyBound:
         """Eq. (9) by a naive dense frequency scan — the baseline the
         bisection is gated against.
 
         Probes *n_grid* equispaced frequencies over ``[f_lo, f_hi]``
         (defaults: the :meth:`upper_bracket` and 1/1024 of it) with one
-        eq. (8) evaluation each — a scan that does not exploit
+        zero-slack eq. (8) evaluation each — a scan that does not exploit
         monotonicity — and returns the smallest feasible grid point.
         """
         check_integer(n_grid, "n_grid", minimum=2)
@@ -398,7 +397,7 @@ class FrequencySweepEvaluator:
             raise ValidationError("need 0 < f_lo < f_hi")
         best = math.inf
         for freq in np.linspace(lo, hi, n_grid):
-            if self.verify(buffer_size, float(freq), tolerance=tolerance):
+            if self.verify(buffer_size, float(freq), tolerance=0.0):
                 best = min(best, float(freq))
         if not math.isfinite(best):
             raise ValidationError("no feasible frequency on the dense grid")
@@ -413,7 +412,6 @@ def minimum_frequency_bisect(
     *,
     rel_tol: float = 1e-4,
     f_hi: float | None = None,
-    tolerance: float = 1e-6,
     max_segments: int | None = None,
     max_error: float | None = None,
 ) -> FrequencyBound:
@@ -428,7 +426,7 @@ def minimum_frequency_bisect(
     ev = FrequencySweepEvaluator(
         alpha_events, gamma_u, max_segments=max_segments, max_error=max_error
     )
-    return ev.bisect(buffer_size, rel_tol=rel_tol, f_hi=f_hi, tolerance=tolerance)
+    return ev.bisect(buffer_size, rel_tol=rel_tol, f_hi=f_hi)
 
 
 def minimum_frequency_dense(
@@ -439,12 +437,9 @@ def minimum_frequency_dense(
     n_grid: int = 512,
     f_lo: float | None = None,
     f_hi: float | None = None,
-    tolerance: float = 1e-6,
 ) -> FrequencyBound:
     """Eq. (9) by a naive dense frequency scan (see
     :meth:`FrequencySweepEvaluator.dense`) — kept as the benchmark
     baseline for :func:`minimum_frequency_bisect`."""
     ev = FrequencySweepEvaluator(alpha_events, gamma_u)
-    return ev.dense(
-        buffer_size, n_grid=n_grid, f_lo=f_lo, f_hi=f_hi, tolerance=tolerance
-    )
+    return ev.dense(buffer_size, n_grid=n_grid, f_lo=f_lo, f_hi=f_hi)

@@ -18,8 +18,11 @@ fields (see :func:`repro.obs.manifest.stable_view`).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import inspect
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,17 +174,15 @@ def run_experiment(exp_id: str, **params: Any) -> ExperimentResult:
 class CaseStudyContext:
     """Prepared state of the MPEG-2 case study (paper §3.2).
 
-    Holds the 14 clips, their per-clip workload and arrival curves, the
-    cross-clip envelopes (the paper takes "maximum over all respective
-    curves of individual video clips"), and the two frequency bounds.
+    Holds the 14 clips (each with its generated data attached), the
+    cross-clip envelopes of their workload and arrival curves (the paper
+    takes "maximum over all respective curves of individual video
+    clips"), and the two frequency bounds.
     """
 
     frames: int
     buffer_size: int
     clips: list[SyntheticClip]
-    gammas_upper: list[WorkloadCurve]
-    gammas_lower: list[WorkloadCurve]
-    alphas: list[PiecewiseLinearCurve]
     gamma_u: WorkloadCurve
     gamma_l: WorkloadCurve
     alpha: PiecewiseLinearCurve
@@ -217,6 +218,67 @@ def alpha_max(alphas: Sequence[PiecewiseLinearCurve]) -> PiecewiseLinearCurve:
     return alpha
 
 
+def _clip_curves(
+    clip: SyntheticClip, *, dense_limit: int, growth: float, stream_chunk: int | None
+) -> tuple[SyntheticClip, WorkloadCurvePair, PiecewiseLinearCurve]:
+    """One clip's share of the case-study build, run as a
+    :func:`repro.runner.run_many` task: generate the clip, extract its
+    ``γ^u``/``γ^l`` pair and its arrival curve.  Returns the clip with its
+    data attached, so the caller never generates it again."""
+    with obs.tracer.span("case_study.clip", clip=clip.profile.name):
+        with obs.tracer.span("case_study.generate"):
+            data = clip.generate()
+        with obs.tracer.span("case_study.workload"):
+            k_grid = make_k_grid(
+                data.pe2_cycles.size, dense_limit=dense_limit, growth=growth
+            )
+            if stream_chunk is None:
+                pair = WorkloadCurvePair.from_demand_array(
+                    data.pe2_cycles, k_values=k_grid
+                )
+            else:
+                pair = WorkloadCurvePair.from_demand_stream(
+                    _chunked(data.pe2_cycles, stream_chunk),
+                    k_values=k_grid,
+                    total=int(data.pe2_cycles.size),
+                )
+        with obs.tracer.span("case_study.arrival"):
+            n_grid = make_k_grid(
+                data.pe1_output.size, dense_limit=dense_limit, growth=growth
+            )
+            alpha = from_trace_upper(data.pe1_output, n_values=n_grid)
+    return clip, pair, alpha
+
+
+def _build_workers(clips: int) -> int:
+    """Processes for the clip tasks: one per CPU this process may run on,
+    at most one per clip; 1 (in-process) inside a pool worker or off the
+    main thread, which must not start a pool of their own."""
+    import multiprocessing  # deferred, like the runner: keeps import light
+
+    if (
+        multiprocessing.parent_process() is not None
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        return 1
+    if not hasattr(os, "sched_getaffinity"):  # no affinity API (macOS)
+        return min(os.cpu_count() or 1, clips)
+    return min(len(os.sched_getaffinity(0)), clips)
+
+
+def _return_freed_heap() -> None:
+    """Give freed heap pages back to the OS (glibc's ``malloc_trim``; a
+    no-op elsewhere).  Each clip reaches the parent as a ~10 MB message;
+    once such a block is freed, glibc keeps up to twice its size free but
+    resident in each arena for the rest of the process's life."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def case_study_context(
     *,
     frames: int = 72,
@@ -228,11 +290,18 @@ def case_study_context(
     """Build (or fetch the cached) case-study context.
 
     *frames* trades fidelity against runtime: 72 frames (≈3 s, six GOPs,
-    ≈117 k macroblocks per clip) reproduces the paper's numbers; the
-    build takes about 5-6 s on a 2-vCPU x86-64 host, most of it in the
-    workload-envelope and arrival-curve window kernels; generating the 14
-    clips takes about 1.3 s of it.  Smaller values are used by quick
-    tests.
+    ≈117 k macroblocks per clip) reproduces the paper's numbers.  Each
+    clip is generated and characterized on its own, one
+    :func:`repro.runner.run_many` task per clip, over one worker process
+    per CPU in this process's affinity mask (at most 14); the build runs
+    in-process on one CPU, inside a pool worker (``repro all
+    --parallel``, sweep and daemon workers) and off the main thread.  The
+    parent then takes the envelopes, the frequency bounds and the input
+    digest in clip order, so the result is bit-identical either way.  On
+    a 2-vCPU x86-64 host the build takes about 1.4 s (2.4 s in one
+    process), most of it in the workload-envelope and arrival-curve
+    window kernels; generating the 14 clips takes about 0.5 s of the
+    clip work.  Smaller values of *frames* are used by quick tests.
 
     *stream_chunk* switches the workload-curve extraction to the
     bounded-memory streaming fold
@@ -252,40 +321,27 @@ def case_study_context(
         obs.record_input("case_study_context", ctx.input_digest)
         return ctx
 
+    from repro.runner import run_many
+
     with obs.tracer.span(
         "case_study.build", frames=frames, buffer_size=buffer_size
     ):
         clips = standard_clips(frames=frames)
-        gammas_u: list[WorkloadCurve] = []
-        gammas_l: list[WorkloadCurve] = []
-        alphas: list[PiecewiseLinearCurve] = []
+        task = functools.partial(
+            _clip_curves, dense_limit=dense_limit, growth=growth, stream_chunk=stream_chunk
+        )
+        # one clip per chunk: the ~10 MB results travel one at a time
+        results = run_many(
+            task, clips, max_workers=_build_workers(len(clips)), chunk_size=1
+        )
+        clips, pairs, alphas = zip(*(result.unwrap() for result in results))
+        _return_freed_heap()
+        gammas_u = [pair.upper for pair in pairs]
+        gammas_l = [pair.lower for pair in pairs]
         digest_parts: list[Any] = [frames, buffer_size, dense_limit, growth]
         for clip in clips:
-            with obs.tracer.span("case_study.clip", clip=clip.profile.name):
-                with obs.tracer.span("case_study.generate"):
-                    data = clip.generate()
-                digest_parts += [clip.profile.name, data.pe2_cycles, data.pe1_output]
-                with obs.tracer.span("case_study.workload"):
-                    k_grid = make_k_grid(
-                        data.pe2_cycles.size, dense_limit=dense_limit, growth=growth
-                    )
-                    if stream_chunk is None:
-                        pair = WorkloadCurvePair.from_demand_array(
-                            data.pe2_cycles, k_values=k_grid
-                        )
-                    else:
-                        pair = WorkloadCurvePair.from_demand_stream(
-                            _chunked(data.pe2_cycles, stream_chunk),
-                            k_values=k_grid,
-                            total=int(data.pe2_cycles.size),
-                        )
-                    gammas_u.append(pair.upper)
-                    gammas_l.append(pair.lower)
-                with obs.tracer.span("case_study.arrival"):
-                    n_grid = make_k_grid(
-                        data.pe1_output.size, dense_limit=dense_limit, growth=growth
-                    )
-                    alphas.append(from_trace_upper(data.pe1_output, n_values=n_grid))
+            data = clip.generate()
+            digest_parts += [clip.profile.name, data.pe2_cycles, data.pe1_output]
 
         with obs.tracer.span("case_study.envelopes", clips=len(clips)):
             gamma_u = envelope_upper(gammas_u)
@@ -300,10 +356,7 @@ def case_study_context(
         ctx = CaseStudyContext(
             frames=frames,
             buffer_size=buffer_size,
-            clips=clips,
-            gammas_upper=gammas_u,
-            gammas_lower=gammas_l,
-            alphas=alphas,
+            clips=list(clips),
             gamma_u=gamma_u,
             gamma_l=gamma_l,
             alpha=alpha,
