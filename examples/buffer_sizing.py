@@ -44,11 +44,10 @@ def main(frames: int = 48) -> None:
 
     # Validate: simulate all clips with exactly the curve-sized buffer.
     worst = 0
-    for clip in ctx.clips:
-        data = clip.generate()
-        r = replay_pipeline(data.pe1_output, data.pe2_cycles, frequency,
+    for name, record in zip(ctx.clip_names, ctx.records):
+        r = replay_pipeline(record.pe1_output, record.pe2_cycles, frequency,
                             capacity=b_curves.items)
-        assert not r.overflowed, f"overflow in {clip.profile.name}"
+        assert not r.overflowed, f"overflow in {name}"
         worst = max(worst, r.max_backlog)
     print(f"  simulated worst backlog: {worst} <= {b_curves.items}  (guarantee held)")
 

@@ -47,9 +47,8 @@ def run(*, frames: int = 72, headroom: float = 1.08) -> ExperimentResult:
         # the workload curves certify comfortably
         bound_wcet = float("inf")
     sim_max = 0
-    for clip in ctx.clips:
-        data = clip.generate()
-        result = replay_pipeline(data.pe1_output, data.pe2_cycles, frequency)
+    for record in ctx.records:
+        result = replay_pipeline(record.pe1_output, record.pe2_cycles, frequency)
         sim_max = max(sim_max, result.max_backlog)
 
     table = TextTable(

@@ -12,21 +12,25 @@ tracing span named ``experiment:<id>``, and the returned result carries a
 *run manifest* — parameters (defaults applied), content digests of the
 inputs consumed (the case-study context records the blake2b digest of its
 clip demand traces), seed, package version, wall time, and a metrics
-snapshot.  Manifests of identical runs are identical up to their timing
-fields (see :func:`repro.obs.manifest.stable_view`).
+snapshot, which carries the process's peak RSS so far
+(``process.peak_rss_bytes``).  Manifests of identical runs are identical
+up to their timing fields (see :func:`repro.obs.manifest.stable_view`).
 """
 
 from __future__ import annotations
 
-import ctypes
+import copy
 import functools
 import inspect
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.analysis.frequency import (
@@ -47,6 +51,7 @@ from repro.util.validation import check_integer
 __all__ = [
     "ExperimentResult",
     "CaseStudyContext",
+    "ClipRecord",
     "case_study_context",
     "alpha_max",
     "sweep_frequency_evaluator",
@@ -122,7 +127,8 @@ def harnessed(run: Callable[..., ExperimentResult]) -> Callable[..., ExperimentR
     Parameters are captured with defaults applied, so a default run and an
     explicit ``run(frames=72)`` produce the same manifest.  A parameter
     named ``seed`` is additionally surfaced as the manifest's top-level
-    seed.
+    seed.  The metrics snapshot is taken after the gauge
+    ``process.peak_rss_bytes`` is set (see :func:`_record_peak_rss`).
     """
     signature = inspect.signature(run)
 
@@ -138,6 +144,7 @@ def harnessed(run: Callable[..., ExperimentResult]) -> Callable[..., ExperimentR
                 span.rename(f"experiment:{result.experiment_id}")
                 span.set("experiment_id", result.experiment_id)
         wall = time.perf_counter() - t0
+        _record_peak_rss()
         result.manifest = obs.build_manifest(
             experiment_id=result.experiment_id,
             title=result.title,
@@ -152,6 +159,20 @@ def harnessed(run: Callable[..., ExperimentResult]) -> Callable[..., ExperimentR
         return result
 
     return wrapper
+
+
+def _record_peak_rss() -> None:
+    """Set the gauge ``process.peak_rss_bytes`` to this process's peak
+    resident set size (``ru_maxrss``: kB on Linux, bytes on macOS; there
+    is none off Unix)."""
+    try:
+        import resource
+    except ImportError:
+        return
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    obs.registry.gauge("process.peak_rss_bytes").set(
+        peak if sys.platform == "darwin" else peak * 1024
+    )
 
 
 def run_experiment(exp_id: str, **params: Any) -> ExperimentResult:
@@ -170,11 +191,37 @@ def run_experiment(exp_id: str, **params: Any) -> ExperimentResult:
     return ALL_EXPERIMENTS[exp_id](**params)
 
 
+@dataclass(frozen=True)
+class ClipRecord:
+    """What the case study reads of one clip once its curves are built.
+
+    E6 and E7 replay the FIFO arrivals and PE2 demands, the context's
+    ``input_digest`` hashes them, and A6 charges each macroblock its
+    type's WCET by the two codes.  The arrays are read-only, also after
+    the record has crossed a process boundary; the codes (values 0..2)
+    are int8.
+    """
+
+    pe1_output: np.ndarray       # time each macroblock leaves PE1 (its FIFO arrival)
+    pe2_cycles: np.ndarray       # IDCT+MC demand per macroblock
+    frame_type_code: np.ndarray  # 0=I 1=P 2=B
+    coding_code: np.ndarray      # 0=intra 1=inter 2=skipped
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    def __reduce__(self):
+        # rebuilt through __init__: unpickled arrays come back writeable
+        return ClipRecord, tuple(vars(self).values())
+
+
 @dataclass
 class CaseStudyContext:
     """Prepared state of the MPEG-2 case study (paper §3.2).
 
-    Holds the 14 clips (each with its generated data attached), the
+    Holds the 14 clips (descriptions only: none keeps its generated
+    data), one :class:`ClipRecord` per clip in the same order, the
     cross-clip envelopes of their workload and arrival curves (the paper
     takes "maximum over all respective curves of individual video
     clips"), and the two frequency bounds.
@@ -183,6 +230,7 @@ class CaseStudyContext:
     frames: int
     buffer_size: int
     clips: list[SyntheticClip]
+    records: list[ClipRecord]
     gamma_u: WorkloadCurve
     gamma_l: WorkloadCurve
     alpha: PiecewiseLinearCurve
@@ -220,14 +268,16 @@ def alpha_max(alphas: Sequence[PiecewiseLinearCurve]) -> PiecewiseLinearCurve:
 
 def _clip_curves(
     clip: SyntheticClip, *, dense_limit: int, growth: float, stream_chunk: int | None
-) -> tuple[SyntheticClip, WorkloadCurvePair, PiecewiseLinearCurve]:
+) -> tuple[WorkloadCurvePair, PiecewiseLinearCurve, ClipRecord]:
     """One clip's share of the case-study build, run as a
     :func:`repro.runner.run_many` task: generate the clip, extract its
-    ``γ^u``/``γ^l`` pair and its arrival curve.  Returns the clip with its
-    data attached, so the caller never generates it again."""
+    ``γ^u``/``γ^l`` pair and its arrival curve.  Returns them with the
+    clip's :class:`ClipRecord`, so the caller never generates it again.
+    The clip is generated on a copy: in-process, *clip* is the caller's
+    own, which would otherwise keep all of its ``ClipData``."""
     with obs.tracer.span("case_study.clip", clip=clip.profile.name):
         with obs.tracer.span("case_study.generate"):
-            data = clip.generate()
+            data = copy.copy(clip).generate()
         with obs.tracer.span("case_study.workload"):
             k_grid = make_k_grid(
                 data.pe2_cycles.size, dense_limit=dense_limit, growth=growth
@@ -247,7 +297,13 @@ def _clip_curves(
                 data.pe1_output.size, dense_limit=dense_limit, growth=growth
             )
             alpha = from_trace_upper(data.pe1_output, n_values=n_grid)
-    return clip, pair, alpha
+    record = ClipRecord(
+        data.pe1_output,
+        data.pe2_cycles,
+        data.frame_type_code.astype(np.int8),
+        data.coding_code.astype(np.int8),
+    )
+    return pair, alpha, record
 
 
 def _build_workers(clips: int) -> int:
@@ -266,19 +322,6 @@ def _build_workers(clips: int) -> int:
     return min(len(os.sched_getaffinity(0)), clips)
 
 
-def _return_freed_heap() -> None:
-    """Give freed heap pages back to the OS (glibc's ``malloc_trim``; a
-    no-op elsewhere).  Each clip reaches the parent as a ~10 MB message;
-    once such a block is freed, glibc keeps up to twice its size free but
-    resident in each arena for the rest of the process's life."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
-
-
 def case_study_context(
     *,
     frames: int = 72,
@@ -295,7 +338,10 @@ def case_study_context(
     :func:`repro.runner.run_many` task per clip, over one worker process
     per CPU in this process's affinity mask (at most 14); the build runs
     in-process on one CPU, inside a pool worker (``repro all
-    --parallel``, sweep and daemon workers) and off the main thread.  The
+    --parallel``, sweep and daemon workers) and off the main thread.  A
+    task returns the clip's curves and its :class:`ClipRecord` (about
+    2.3 MB at 72 frames), and no clip keeps its generated data, so the
+    context holds 18 bytes per macroblock besides its curves.  The
     parent then takes the envelopes, the frequency bounds and the input
     digest in clip order, so the result is bit-identical either way.  On
     a 2-vCPU x86-64 host the build takes about 1.4 s (2.4 s in one
@@ -330,18 +376,15 @@ def case_study_context(
         task = functools.partial(
             _clip_curves, dense_limit=dense_limit, growth=growth, stream_chunk=stream_chunk
         )
-        # one clip per chunk: the ~10 MB results travel one at a time
         results = run_many(
             task, clips, max_workers=_build_workers(len(clips)), chunk_size=1
         )
-        clips, pairs, alphas = zip(*(result.unwrap() for result in results))
-        _return_freed_heap()
+        pairs, alphas, records = zip(*(result.unwrap() for result in results))
         gammas_u = [pair.upper for pair in pairs]
         gammas_l = [pair.lower for pair in pairs]
         digest_parts: list[Any] = [frames, buffer_size, dense_limit, growth]
-        for clip in clips:
-            data = clip.generate()
-            digest_parts += [clip.profile.name, data.pe2_cycles, data.pe1_output]
+        for clip, record in zip(clips, records):
+            digest_parts += [clip.profile.name, record.pe2_cycles, record.pe1_output]
 
         with obs.tracer.span("case_study.envelopes", clips=len(clips)):
             gamma_u = envelope_upper(gammas_u)
@@ -356,7 +399,8 @@ def case_study_context(
         ctx = CaseStudyContext(
             frames=frames,
             buffer_size=buffer_size,
-            clips=list(clips),
+            clips=clips,
+            records=list(records),
             gamma_u=gamma_u,
             gamma_l=gamma_l,
             alpha=alpha,

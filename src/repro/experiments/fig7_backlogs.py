@@ -24,12 +24,11 @@ def run(*, frames: int = 72, buffer_size: int = BUFFER_ONE_FRAME) -> ExperimentR
     names = []
     normalized = []
     overflowed = []
-    for clip in ctx.clips:
-        data = clip.generate()
+    for name, record in zip(ctx.clip_names, ctx.records):
         result = replay_pipeline(
-            data.pe1_output, data.pe2_cycles, frequency, capacity=buffer_size
+            record.pe1_output, record.pe2_cycles, frequency, capacity=buffer_size
         )
-        names.append(clip.profile.name)
+        names.append(name)
         normalized.append(result.max_backlog / buffer_size)
         overflowed.append(result.overflowed)
 

@@ -35,9 +35,8 @@ _FRAME_OF_CODE = [FrameType.I, FrameType.P, FrameType.B]
 _CLASS_OF_CODE = list(CodingClass)
 
 
-def _interval_demands(clip) -> np.ndarray:
+def _interval_demands(clip, record) -> np.ndarray:
     """Per-event worst-case demand by type: wcet(type(E_i))."""
-    data = clip.generate()
     profile = clip.pe2_model.profile()
     wcet_by_pair = np.zeros((3, 3))
     for fc in range(3):
@@ -46,7 +45,7 @@ def _interval_demands(clip) -> np.ndarray:
             wcet_by_pair[fc, cc] = (
                 profile.wcet(name) if name in profile else np.nan
             )
-    return wcet_by_pair[data.frame_type_code, data.coding_code]
+    return wcet_by_pair[record.frame_type_code, record.coding_code]
 
 
 @harnessed
@@ -56,8 +55,8 @@ def run(*, frames: int = 72, buffer_size: int = BUFFER_ONE_FRAME) -> ExperimentR
 
     # level 2: typed-interval curves over the actual type sequences
     interval_curves = []
-    for clip in ctx.clips:
-        demands = _interval_demands(clip)
+    for clip, record in zip(ctx.clips, ctx.records):
+        demands = _interval_demands(clip, record)
         grid = make_k_grid(demands.size, dense_limit=1024, growth=1.04)
         interval_curves.append(
             WorkloadCurve.from_demand_array(demands, "upper", k_values=grid)

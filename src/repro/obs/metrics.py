@@ -323,6 +323,11 @@ class MetricsRegistry:
         distinct from this process's own — essential for counters that a
         snapshot-time collector would otherwise overwrite, such as the
         kernel-cache series.
+
+        A zero counter or gauge and an empty histogram are skipped: they
+        are what :meth:`reset` leaves of a series nothing set since, such
+        as the ones a forked worker inherits, and merging them would
+        only leave zero series behind.
         """
         if snapshot.get("schema") != METRICS_SCHEMA:
             raise ValueError(f"cannot merge snapshot schema {snapshot.get('schema')!r}")
@@ -333,8 +338,11 @@ class MetricsRegistry:
                 self.counter(entry["name"], **labels).inc(value)
         for entry in snapshot.get("gauges", ()):
             labels = {**entry["labels"], **extra_labels}
-            self.gauge(entry["name"], **labels).set_max(entry["value"])
+            if entry["value"]:
+                self.gauge(entry["name"], **labels).set_max(entry["value"])
         for entry in snapshot.get("histograms", ()):
+            if not entry["count"]:
+                continue
             labels = {**entry["labels"], **extra_labels}
             self.histogram(
                 entry["name"], buckets=tuple(entry["buckets"]), **labels

@@ -5,10 +5,12 @@ to ``repro.runner.run_many``, over one worker per CPU of the process's
 affinity mask; the parent combines the curves in clip order.  These
 tests build a 12-frame context (as ``small_context`` does) under a
 buffer size no other test uses, so each build runs from cold, and check
-that a pool build and a one-CPU build agree to the bit, that the work
-counters and the phase spans still account for the build, that a build
-inside a pool worker stays in-process, and that a failed clip fails the
-build.
+that a pool build and a one-CPU build agree to the bit, that the context
+keeps one small read-only record per clip and no clip's generated data,
+that the experiments reading the clips never generate one again, that
+the work counters and the phase spans still account for the build, that
+a build inside a pool worker stays in-process, and that a failed clip
+fails the build.
 """
 
 import json
@@ -16,13 +18,18 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
-from repro.experiments.common import case_study_context
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.common import ClipRecord, case_study_context
 from repro.mpeg.bitstream import SyntheticClip
+from repro.mpeg.clips import standard_clips
 from repro.obs.metrics import registry
 from repro.obs.tracing import tracer
 from repro.perf.cache import digest_of
@@ -38,6 +45,9 @@ FAILING_BUFFER = 999
 WORK_COUNTERS = ("staircase.window_lengths", "mpeg.front_end.items")
 PHASES = ("case_study.clip", "case_study.generate", "case_study.workload", "case_study.arrival")
 
+#: What a clip record may hold per macroblock: two float64 traces, two int8 codes.
+RECORD_BYTES_PER_EVENT = 18
+
 ONE_CPU_BUILD = """
 import json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -48,6 +58,43 @@ print(json.dumps(traced_build()))
 
 def _counter_total(name: str) -> float:
     return sum(e["value"] for e in registry.snapshot()["counters"] if e["name"] == name)
+
+
+def _array_bytes(root) -> int:
+    """Bytes of the numpy arrays reachable from *root* through containers
+    and instance attributes (not through classes, modules or functions),
+    each buffer counted once."""
+    owners: dict[int, int] = {}
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, str, bytes, int, float)
+        ):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                stack.extend(
+                    getattr(obj, name)
+                    for name in getattr(cls, "__slots__", ())
+                    if hasattr(obj, name)
+                )
+    return sum(owners.values())
+
+
+def _record_arrays(record: ClipRecord) -> list[np.ndarray]:
+    return [getattr(record, f.name) for f in fields(record)]
 
 
 def _descendants(records: list[dict], root: int) -> list[dict]:
@@ -64,8 +111,9 @@ def _descendants(records: list[dict], root: int) -> list[dict]:
 
 def traced_build() -> dict:
     """Build the ``BUFFER`` context under tracing; returns the bit patterns
-    of what the context holds, the work counters' growth, the build's
-    runner mode and the phase spans under ``case_study.build``."""
+    of what the context holds, the shape of its clip records and the
+    bytes it holds, the work counters' growth, the build's runner mode
+    and the phase spans under ``case_study.build``."""
     before = {name: _counter_total(name) for name in WORK_COUNTERS}
     tracer.enable()
     tracer.reset()
@@ -90,6 +138,29 @@ def traced_build() -> dict:
             *(b.critical_delta.hex() for b in (ctx.f_gamma, ctx.f_wcet)),
         ],
         "input_digest": ctx.input_digest,
+        "records": digest_of(
+            *(a for record in ctx.records for a in _record_arrays(record))
+        ).hex(),
+        "record_shape": {
+            "count": len(ctx.records),
+            "events": sorted(
+                {a.size for record in ctx.records for a in _record_arrays(record)}
+            ),
+            "mb_per_frame": sorted({clip.mb_per_frame for clip in ctx.clips}),
+            "dtypes": [str(a.dtype) for a in _record_arrays(ctx.records[0])],
+            "writeable": sum(
+                a.flags.writeable for record in ctx.records for a in _record_arrays(record)
+            ),
+        },
+        "clips_with_data": sum(clip._data is not None for clip in ctx.clips),
+        "bytes": {
+            "context": _array_bytes(ctx),
+            "curves": _array_bytes(
+                (ctx.gamma_u, ctx.gamma_l, ctx.alpha, ctx.f_gamma, ctx.f_wcet)
+            ),
+            "clip_descriptions": _array_bytes(standard_clips(frames=PARAMS["frames"])),
+            "macroblocks": sum(record.pe2_cycles.size for record in ctx.records),
+        },
         "work": {name: _counter_total(name) - before[name] for name in WORK_COUNTERS},
         "mode": runner["attrs"]["mode"],
         "workers": runner["attrs"]["workers"],
@@ -135,7 +206,7 @@ def test_one_cpu_build_runs_in_process(one_cpu_build):
 
 
 def test_pool_and_one_cpu_builds_are_bit_identical(pool_build, one_cpu_build):
-    for field in ("gamma_u", "gamma_l", "alpha", "bounds", "input_digest"):
+    for field in ("gamma_u", "gamma_l", "alpha", "bounds", "input_digest", "records"):
         assert pool_build[field] == one_cpu_build[field], field
 
 
@@ -149,16 +220,54 @@ def test_phase_spans_sit_under_the_build(pool_build, one_cpu_build):
         assert build["phases"] == dict.fromkeys(PHASES, 14)
 
 
-def test_parent_holds_every_clips_data(pool_build, monkeypatch):
-    ctx = case_study_context(buffer_size=BUFFER, **PARAMS)
-    assert len(ctx.clips) == 14
+def test_context_keeps_one_read_only_record_per_clip(pool_build, one_cpu_build):
+    for build in (pool_build, one_cpu_build):
+        shape = build["record_shape"]
+        assert shape["count"] == 14
+        (mb_per_frame,) = shape["mb_per_frame"]
+        assert shape["events"] == [PARAMS["frames"] * mb_per_frame]
+        assert shape["dtypes"] == ["float64", "float64", "int8", "int8"]
+        assert shape["writeable"] == 0
+        assert build["clips_with_data"] == 0
+
+
+def test_context_holds_18_bytes_per_macroblock_besides_its_curves(pool_build, one_cpu_build):
+    for build in (pool_build, one_cpu_build):
+        held = build["bytes"]
+        assert held["context"] <= (
+            RECORD_BYTES_PER_EVENT * held["macroblocks"]
+            + held["curves"]
+            + held["clip_descriptions"]
+        )
+
+
+def test_clip_readers_never_generate_a_clip(monkeypatch):
+    ctx = case_study_context(frames=PARAMS["frames"])
 
     def regenerate(self):
         raise AssertionError(f"clip {self.profile.name} generated again")
 
     monkeypatch.setattr(SyntheticClip, "_generate", regenerate)
-    for clip in ctx.clips:
-        assert clip.generate().pe2_cycles.size == 12 * clip.mb_per_frame
+    e6 = ALL_EXPERIMENTS["E6"](frames=PARAMS["frames"])
+    e7 = ALL_EXPERIMENTS["E7"](frames=PARAMS["frames"])
+    a6 = ALL_EXPERIMENTS["A6"](frames=PARAMS["frames"])
+    assert e6.data["clips"] == ctx.clip_names
+    assert not e6.data["any_overflow"]
+    assert 0 < e7.data["sim_max"] <= e7.data["bound_curves"]
+    assert len(a6.data["rows"]) == 3
+    for result in (e6, e7, a6):
+        assert result.manifest["inputs"]["case_study_context"] == ctx.input_digest
+
+
+def test_a_record_stays_read_only_across_processes():
+    record = ClipRecord(np.arange(3.0), np.ones(3), np.zeros(3, np.int8), np.ones(3, np.int8))
+    (shipped,) = [r.unwrap() for r in run_many(_identity, [record], max_workers=2)]
+    assert all(not a.flags.writeable for a in _record_arrays(shipped))
+    assert all(np.array_equal(a, b) for a, b in zip(_record_arrays(shipped), _record_arrays(record)))
+
+
+def _identity(item):
+    return item
 
 
 def nested_build(buffer_size: int) -> tuple[str, int]:

@@ -42,6 +42,15 @@ class TestManifestAttachment:
         assert inputs["case_study_context"] == ctx.input_digest
         assert len(inputs["case_study_context"]) == 32  # blake2b-16 hex
 
+    def test_metrics_carry_the_peak_rss_in_bytes(self):
+        peaks = []
+        for _ in range(2):
+            gauges = run_e2(k_max=4).manifest["metrics"]["gauges"]
+            (peak,) = [g["value"] for g in gauges if g["name"] == "process.peak_rss_bytes"]
+            peaks.append(peak)
+        # an interpreter with numpy loaded holds well over 10 MB: bytes, not kB
+        assert 10 * 2**20 < peaks[0] <= peaks[1]
+
     def test_write_emits_report_and_manifest(self, tmp_path):
         result = run_e2(k_max=4)
         report_path, manifest_path = result.write(tmp_path)

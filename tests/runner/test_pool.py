@@ -162,6 +162,23 @@ class TestParallel:
         completed = registry.counter("runner.tasks.completed").value
         assert completed == 4
 
+    def test_inherited_series_do_not_come_back_as_zeros(self):
+        # the forked workers inherit these (and the parent's runner.workers)
+        # and zero them; a chunk that never set them must not merge them
+        registry.gauge("test.inherited").set(3)
+        registry.histogram("test.inherited_s").observe(0.5)
+        before = _zero_worker_series()
+        run_many(square, list(range(4)), max_workers=WORKERS)
+        run_many(square, list(range(4)), max_workers=WORKERS)
+        assert _zero_worker_series() <= before
+        merged = {
+            e["name"]
+            for kind in ("gauges", "histograms")
+            for e in registry.snapshot()[kind]
+            if e["labels"].get("origin") == "worker"
+        }
+        assert not merged & {"test.inherited", "test.inherited_s"}
+
     def test_trace_records_merged_and_well_formed(self):
         tracer.enable()
         tracer.reset()
@@ -181,6 +198,17 @@ class TestParallel:
             assert r["ts"] >= 0 and r["dur"] >= 0
         worker_spans = [r for r in records if r["name"] == "worker-span"]
         assert all("worker_pid" in r["attrs"] for r in worker_spans)
+
+
+def _zero_worker_series() -> set[tuple[str, str]]:
+    """The zero gauges and empty histograms merged from workers."""
+    snapshot = registry.snapshot()
+    return {
+        (e["name"], repr(sorted(e["labels"].items())))
+        for kind, field in (("gauges", "value"), ("histograms", "count"))
+        for e in snapshot[kind]
+        if e["labels"].get("origin") == "worker" and not e[field]
+    }
 
 
 class TestSeeding:
