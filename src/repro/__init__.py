@@ -8,12 +8,12 @@ Characterization Model for Tasks with Variable Execution Demand*
   typed-event traces, analytical constructions, curve algebra;
 * :mod:`repro.curves` — Network Calculus: PWL arrival/service curves,
   min-plus algebra, backlog/delay bounds, shapers;
-* :mod:`repro.scheduling` — RMS (Lehoczky) / EDF / response-time analysis,
+* :mod:`repro.scheduling` — RMS (Lehoczky) / response-time analysis,
   classic and workload-curve variants, plus a scheduler simulator;
 * :mod:`repro.mpeg` — the synthetic MPEG-2 decoder workload substrate;
 * :mod:`repro.simulation` — transaction-level two-PE pipeline simulation;
 * :mod:`repro.analysis` — eqs. (6)–(10): conversions, backlog, minimum
-  frequency, buffer sizing, delay;
+  frequency, buffer sizing;
 * :mod:`repro.experiments` — harnesses regenerating every paper figure
   and table.
 

@@ -10,7 +10,6 @@ Usage::
 
 Parallelism and caching (see ``docs/performance.md``)::
 
-    python -m repro all --parallel 4              # fan out over 4 workers
     python -m repro all --cache-dir .repro-cache  # persistent kernel cache
     python -m repro sweep --buffers 810,1620,3240 --parallel 4
                                                   # frequency/backlog sweep
@@ -53,6 +52,7 @@ from repro import obs
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs.metrics import registry
 from repro.obs.tracing import tracer
+from repro.util.validation import ValidationError
 
 #: Experiments that run in well under a second (the no-argument default).
 LIGHT = ("E1", "E2", "E3")
@@ -119,15 +119,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared parallel-runner options."""
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the work out over N worker processes (default: 1, serial)",
-    )
+def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
+    """Attach the persistent kernel cache option."""
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
@@ -135,6 +128,18 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="attach the persistent kernel cache at PATH (shared by all "
         "workers and reused by future runs)",
     )
+
+
+def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the sweep's parallel-runner options."""
+    parser.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fan the work out over N worker processes (default: 1, serial)",
+    )
+    _add_cache_dir_argument(parser)
     parser.add_argument(
         "--seed",
         type=int,
@@ -194,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _experiments_main(argv: list[str]) -> int:
-    """Run the requested experiments, serially or across a worker pool."""
+    """Run the requested experiments one after another."""
     ids = ", ".join(ALL_EXPERIMENTS)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -217,7 +222,7 @@ def _experiments_main(argv: list[str]) -> int:
         "(default: each experiment's own default, typically 72)",
     )
     _add_compact_arguments(parser)
-    _add_runner_arguments(parser)
+    _add_cache_dir_argument(parser)
     _add_obs_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -232,8 +237,6 @@ def _experiments_main(argv: list[str]) -> int:
     unknown = [e for e in requested if e not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment ids: {', '.join(unknown)} (known: {ids})")
-    if args.parallel < 1:
-        parser.error("--parallel must be >= 1")
 
     if args.trace:
         tracer.enable()
@@ -254,60 +257,23 @@ def _experiments_main(argv: list[str]) -> int:
         return kwargs
 
     failures: list[str] = []
-    t0 = time.perf_counter()
     with tracer.span("cli", experiments=",".join(requested)):
-        if args.parallel > 1:
-            from repro.runner import run_many
-            from repro.runner.tasks import run_experiment_task
+        if args.cache_dir:
+            from repro.perf.cache import attach_disk_cache
 
-            task_results = run_many(
-                run_experiment_task,
-                [(exp_id, kwargs_for(exp_id)) for exp_id in requested],
-                max_workers=args.parallel,
-                cache_dir=args.cache_dir,
-                seed=args.seed,
-            )
-            results = []
-            for exp_id, task in zip(requested, task_results):
-                if not task.ok:
-                    failures.append(f"{exp_id}: {task.error}")
-                    continue
-                results.append(task.value)
-        else:
-            if args.cache_dir:
-                from repro.perf.cache import attach_disk_cache
-
-                attach_disk_cache(args.cache_dir)
-            results = []
-            for exp_id in requested:
+            attach_disk_cache(args.cache_dir)
+        results = []
+        for exp_id in requested:
+            try:
                 results.append(ALL_EXPERIMENTS[exp_id](**kwargs_for(exp_id)))
+            except ValidationError as exc:  # bad input: report it, run the rest
+                failures.append(f"{exp_id}: {exc}")
 
         for result in results:
             print(result)
             print()
             if args.out_dir:
                 result.write(args.out_dir)
-
-        if args.parallel > 1 and args.out_dir and results:
-            combined = obs.combine_manifests(
-                [r.manifest for r in results if r.manifest is not None],
-                experiment_id="PARALLEL",
-                title="Parallel experiment run",
-                parameters={
-                    "experiments": requested,
-                    "parallel": args.parallel,
-                    "frames": args.frames,
-                    "max_segments": args.max_segments,
-                    "compact_error": args.compact_error,
-                    "bisect": args.bisect,
-                    "seed": args.seed,
-                },
-                wall_time_s=time.perf_counter() - t0,
-                metrics=registry.snapshot(),
-            )
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            obs.write_manifest(combined, out_dir / "PARALLEL.manifest.json")
 
     _export_obs(args)
     for failure in failures:

@@ -1,7 +1,6 @@
 """System-level performance analysis combining workload curves with
 Network Calculus (paper §3.2): domain conversion (Figure 4), backlog bounds
-(eqs. (6)–(7)), minimum PE frequency (eqs. (8)–(10)), buffer sizing and
-delay bounds.
+(eqs. (6)–(7)), minimum PE frequency (eqs. (8)–(10)) and buffer sizing.
 """
 
 from repro.analysis.conversion import (
@@ -30,7 +29,6 @@ from repro.analysis.buffer_sizing import (
     minimum_buffer_wcet,
     buffer_frequency_tradeoff,
 )
-from repro.analysis.delay import delay_bound_curves, delay_bound_wcet
 from repro.analysis.energy import PowerModel, dvs_savings
 from repro.analysis.chain import ProcessingNode, NodeReport, ChainReport, StreamingChain
 
@@ -53,8 +51,6 @@ __all__ = [
     "minimum_buffer_curves",
     "minimum_buffer_wcet",
     "buffer_frequency_tradeoff",
-    "delay_bound_curves",
-    "delay_bound_wcet",
     "PowerModel",
     "dvs_savings",
     "ProcessingNode",

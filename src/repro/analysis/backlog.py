@@ -36,7 +36,6 @@ __all__ = [
     "backlog_bound_cycles_wcet",
     "backlog_bound_cycles_curves",
     "backlog_bound_events",
-    "backlog_bound_events_many",
     "candidate_deltas",
 ]
 
@@ -108,25 +107,3 @@ def backlog_bound_events(
         arrived = alpha_events(deltas)
     served_events = gamma_u.pseudo_inverse(beta(deltas))
     return float(np.max(arrived - served_events))
-
-
-@instrumented("backlog.bound_events_many")
-def backlog_bound_events_many(
-    alpha_events: PiecewiseLinearCurve,
-    betas,
-    gamma_u: WorkloadCurve,
-) -> list[float]:
-    """Eq. (7) against several service curves at once.
-
-    The batched form of a frequency sweep (``β(Δ) = F·Δ`` for many ``F``):
-    the arrival side is evaluated once on the union candidate grid, each
-    service curve then costs one batch evaluation plus one memoized
-    ``γ^{u-1}`` lookup.  Returns bounds aligned with *betas*.
-    """
-    if gamma_u.kind != "upper":
-        raise ValidationError("backlog bound needs an upper workload curve")
-    betas = list(betas)
-    out: list[float] = []
-    for beta in betas:
-        out.append(backlog_bound_events(alpha_events, beta, gamma_u))
-    return out

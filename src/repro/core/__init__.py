@@ -31,25 +31,6 @@ from repro.core.operations import (
     superadditive_closure,
     envelope_upper,
     envelope_lower,
-    merge_pairs,
-    concavify_upper,
-)
-from repro.core.metrics import (
-    gain_profile,
-    average_gain,
-    variability_ratio,
-    curve_distance,
-)
-from repro.core.modes import ModeSpec, multi_mode_curves
-from repro.core.serialization import (
-    curve_to_dict,
-    curve_from_dict,
-    pair_to_dict,
-    pair_from_dict,
-    profile_to_dict,
-    profile_from_dict,
-    save_pair,
-    load_pair,
 )
 from repro.core.validation import (
     CurveAudit,
@@ -71,26 +52,10 @@ __all__ = [
     "polling_task_curves",
     "two_mode_curves",
     "periodic_event_count_bounds",
-    "gain_profile",
-    "average_gain",
-    "variability_ratio",
-    "curve_distance",
-    "ModeSpec",
-    "multi_mode_curves",
-    "curve_to_dict",
-    "curve_from_dict",
-    "pair_to_dict",
-    "pair_from_dict",
-    "profile_to_dict",
-    "profile_from_dict",
-    "save_pair",
-    "load_pair",
     "subadditive_closure",
     "superadditive_closure",
     "envelope_upper",
     "envelope_lower",
-    "merge_pairs",
-    "concavify_upper",
     "CurveAudit",
     "check_subadditive",
     "check_superadditive",

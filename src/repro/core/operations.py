@@ -16,11 +16,11 @@ bounded by its closure.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.workload import WorkloadCurve, WorkloadCurvePair
+from repro.core.workload import WorkloadCurve
 from repro.util.validation import ValidationError, check_integer
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "superadditive_closure",
     "envelope_upper",
     "envelope_lower",
-    "merge_pairs",
-    "concavify_upper",
 ]
 
 
@@ -95,53 +93,3 @@ def _envelope(curves: Iterable[WorkloadCurve], kind: str) -> WorkloadCurve:
     for curve in curves[1:]:
         result = result.max_with(curve) if kind == "upper" else result.min_with(curve)
     return result
-
-
-def merge_pairs(pairs: Sequence[WorkloadCurvePair]) -> WorkloadCurvePair:
-    """Envelope over several :class:`WorkloadCurvePair` (multi-clip merge)."""
-    if not pairs:
-        raise ValidationError("merge needs at least one pair")
-    result = pairs[0]
-    for pair in pairs[1:]:
-        result = result.merge(pair)
-    return result
-
-
-def concavify_upper(curve: WorkloadCurve, *, k_max: int | None = None) -> WorkloadCurve:
-    """Upper concave hull of an upper curve on ``0..k_max``.
-
-    The hull dominates the curve everywhere, so it remains a *valid* (but
-    possibly looser) upper bound; its value is that linear interpolation
-    between grid points becomes sound, giving a compact piecewise-linear
-    representation suitable for export to continuous-domain tooling.
-    """
-    if curve.kind != "upper":
-        raise ValidationError("concavification applies to upper curves")
-    k_max = curve.horizon if k_max is None else check_integer(k_max, "k_max", minimum=1)
-    dense = curve.to_dense(k_max)
-    xs = np.concatenate(([0], dense.k_values)).astype(float)
-    ys = np.concatenate(([0.0], dense.values))
-    hull_idx = _upper_hull_indices(xs, ys)
-    hull_x = xs[hull_idx]
-    hull_y = ys[hull_idx]
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
-    vals = np.interp(ks.astype(float), hull_x, hull_y)
-    return WorkloadCurve("upper", ks, vals)
-
-
-def _upper_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Indices of the upper concave hull (monotone chain, keeping turns that
-    preserve concavity)."""
-    hull: list[int] = []
-    for i in range(xs.size):
-        while len(hull) >= 2:
-            x1, y1 = xs[hull[-2]], ys[hull[-2]]
-            x2, y2 = xs[hull[-1]], ys[hull[-1]]
-            x3, y3 = xs[i], ys[i]
-            # drop the middle point if it lies below the chord (convex turn)
-            if (y2 - y1) * (x3 - x2) <= (y3 - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull

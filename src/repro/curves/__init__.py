@@ -41,12 +41,6 @@ from repro.curves.minplus import (
 from repro.curves.compact import CompactionResult, compact_lower, compact_upper
 from repro.curves.bounds import backlog_bound, delay_bound, output_arrival_curve, is_stable
 from repro.curves.shaper import GreedyShaper
-from repro.curves.event_models import (
-    EventModel,
-    pjd_event_model,
-    sporadic_event_model,
-    periodic_burst_event_model,
-)
 
 __all__ = [
     "PiecewiseLinearCurve",
@@ -78,8 +72,4 @@ __all__ = [
     "output_arrival_curve",
     "is_stable",
     "GreedyShaper",
-    "EventModel",
-    "pjd_event_model",
-    "sporadic_event_model",
-    "periodic_burst_event_model",
 ]

@@ -27,7 +27,6 @@ from repro.experiments.common import (
     ExperimentResult,
     case_study_context,
     harnessed,
-    run_experiment,
 )
 from repro.experiments import (
     fig1_sequence,
@@ -69,6 +68,5 @@ __all__ = [
     "ExperimentResult",
     "case_study_context",
     "harnessed",
-    "run_experiment",
     "ALL_EXPERIMENTS",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "alpha_max",
     "sweep_frequency_evaluator",
     "harnessed",
-    "run_experiment",
     "BUFFER_ONE_FRAME",
 ]
 
@@ -173,22 +172,6 @@ def _record_peak_rss() -> None:
     obs.registry.gauge("process.peak_rss_bytes").set(
         peak if sys.platform == "darwin" else peak * 1024
     )
-
-
-def run_experiment(exp_id: str, **params: Any) -> ExperimentResult:
-    """Run one registered experiment by id with the given parameters.
-
-    The canonical by-id entry point used by the CLI and the parallel
-    runner's worker processes (``repro.runner.tasks.run_experiment_task``).
-    Raises :class:`KeyError` for an unknown id.  The registry import is
-    deferred because :mod:`repro.experiments` imports this module first.
-    """
-    from repro.experiments import ALL_EXPERIMENTS
-
-    if exp_id not in ALL_EXPERIMENTS:
-        known = ", ".join(ALL_EXPERIMENTS)
-        raise KeyError(f"unknown experiment id {exp_id!r} (known: {known})")
-    return ALL_EXPERIMENTS[exp_id](**params)
 
 
 @dataclass(frozen=True)

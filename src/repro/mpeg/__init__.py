@@ -23,7 +23,6 @@ from repro.mpeg.gop import GopStructure
 from repro.mpeg.demand import ClassCost, StageDemandModel, VLD_IQ_MODEL, IDCT_MC_MODEL
 from repro.mpeg.bitstream import ClipProfile, ClipData, SyntheticClip
 from repro.mpeg.clips import CLIP_PROFILES, standard_clips
-from repro.mpeg.stats import FrameTypeStats, ClipStats, clip_statistics
 
 __all__ = [
     "FrameType",
@@ -40,7 +39,4 @@ __all__ = [
     "SyntheticClip",
     "CLIP_PROFILES",
     "standard_clips",
-    "FrameTypeStats",
-    "ClipStats",
-    "clip_statistics",
 ]

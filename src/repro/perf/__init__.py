@@ -14,24 +14,22 @@ The performance layer behind the analysis engine:
 * :mod:`repro.perf.instrument` — per-kernel call counts, wall time, and
   timing histograms, reported through the :mod:`repro.obs` metrics
   registry (and, when tracing is enabled, as nested spans);
-* :mod:`repro.perf.batch` — batch helpers for the sweep-style workloads:
-  :func:`convolve_many` / :func:`deconvolve_many` run each pair through
-  the memoized operator, :func:`evaluate_at_many` evaluates many curves
-  on one Δ-grid, and :func:`convolve_reduce` folds a chain.
+* :mod:`repro.perf.batch` — :func:`convolve_many` runs each pair through
+  the memoized operator, and :func:`convolve_reduce` folds a chain.
 
 Quick use::
 
     import repro.perf as perf
+    from repro.obs import registry
 
     perf.configure(enabled=False)   # force every kernel to recompute
     perf.configure(enabled=True)
     perf.clear_cache()
-    perf.report()                   # {"kernels": {...}, "cache": {...}}
+    perf.cache_stats()              # {"hits": ..., "per_op": {...}, ...}
+    registry.snapshot()             # kernel.calls/seconds{kernel=...}, cache.*
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.perf.cache import (
     KernelCache,
@@ -43,10 +41,7 @@ from repro.perf.cache import (
 )
 from repro.perf.cache import clear as clear_cache
 from repro.perf.cache import stats as cache_stats
-from repro.perf.instrument import instrumented, snapshot as kernel_snapshot
-
-#: Compatibility alias: the per-kernel ``{name: {calls, seconds}}`` view.
-snapshot = kernel_snapshot
+from repro.perf.instrument import instrumented
 
 __all__ = [
     "KernelCache",
@@ -58,28 +53,10 @@ __all__ = [
     "cache_stats",
     "digest_of",
     "instrumented",
-    "report",
     "reset",
-    "snapshot",
-    "kernel_snapshot",
     "convolve_many",
     "convolve_reduce",
-    "deconvolve_many",
-    "evaluate_at_many",
 ]
-
-
-def report() -> dict[str, Any]:
-    """One snapshot of the whole performance layer.
-
-    Returns ``{"kernels": {name: {calls, seconds}}, "cache": {...}}`` —
-    the payload dumped to ``benchmarks/BENCH_kernels.json`` by the kernel
-    benchmark suite.  Since the observability refactor this is a thin
-    *view* over the :mod:`repro.obs` metrics registry: the same numbers
-    (plus per-kernel timing histograms) appear in
-    ``repro.obs.registry.snapshot()`` and the CLI's ``--metrics-out``.
-    """
-    return {"kernels": kernel_snapshot(), "cache": cache_stats()}
 
 
 def reset() -> None:
@@ -99,7 +76,7 @@ def reset() -> None:
 def __getattr__(name: str):
     # batch imports the curve kernels, which import this package for the
     # cache — resolve lazily to keep the import graph acyclic.
-    if name in ("convolve_many", "convolve_reduce", "deconvolve_many", "evaluate_at_many"):
+    if name in ("convolve_many", "convolve_reduce"):
         from repro.perf import batch
 
         return getattr(batch, name)

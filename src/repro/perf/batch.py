@@ -1,25 +1,21 @@
-"""Batched curve kernels for sweep-style workloads.
+"""Batched min-plus convolution for chain reductions.
 
-Design-space sweeps (buffer-size ablations, frequency ladders, chain
-reductions) apply the same operator to many operands.  The helpers here
-expose that as batch calls: each pair goes through the memoized
-operator, so duplicate work is collapsed by the kernel cache, and
-evaluation over a shared Δ-grid is a single vectorized pass per curve
-instead of a Python loop of scalar calls.
+:func:`convolve_many` runs each pair through the memoized operator, so
+duplicate pairs cost one construction; :func:`convolve_reduce` folds a
+whole chain ``f₁ ⊗ … ⊗ fₙ`` (the service curve of
+:class:`repro.analysis.chain.StreamingChain`) through it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import convolve, deconvolve
+from repro.curves.minplus import convolve
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
 
-__all__ = ["convolve_many", "deconvolve_many", "evaluate_at_many", "convolve_reduce"]
+__all__ = ["convolve_many", "convolve_reduce"]
 
 _Pair = tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]
 
@@ -34,38 +30,6 @@ def convolve_many(pairs: Sequence[_Pair], **budget) -> list[PiecewiseLinearCurve
     (``max_segments``/``max_error``/``direction``) are forwarded.
     """
     return [convolve(f, g, **budget) for f, g in pairs]
-
-
-@instrumented("batch.deconvolve_many")
-def deconvolve_many(pairs: Sequence[_Pair], **budget) -> list[PiecewiseLinearCurve]:
-    """Min-plus deconvolution of every ``(f, g)`` pair (memoized per pair);
-    budget keywords are forwarded to :func:`repro.curves.minplus
-    .deconvolve`."""
-    return [deconvolve(f, g, **budget) for f, g in pairs]
-
-
-@instrumented("batch.evaluate_at_many")
-def evaluate_at_many(
-    curves: Sequence[PiecewiseLinearCurve], deltas
-) -> np.ndarray:
-    """Evaluate several curves on one shared Δ-grid.
-
-    Returns an array of shape ``(len(curves), len(deltas))`` with
-    ``out[i, j] = curves[i](deltas[j])``.  This is the evaluation kernel of
-    the backlog/frequency sweeps: the grid is validated once and each curve
-    contributes a single vectorized pass.
-    """
-    dd = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if dd.ndim != 1:
-        raise ValidationError("deltas must be a scalar or 1-D sequence")
-    if np.any(dd < 0):
-        raise ValidationError("delta must be >= 0")
-    out = np.empty((len(curves), dd.size), dtype=float)
-    for i, curve in enumerate(curves):
-        if not isinstance(curve, PiecewiseLinearCurve):
-            raise ValidationError("curves must be PiecewiseLinearCurve instances")
-        out[i] = curve(dd)
-    return out
 
 
 def convolve_reduce(

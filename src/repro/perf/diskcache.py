@@ -35,9 +35,11 @@ Design
   construction.
 * **LRU eviction** — per shard: access bumps the file mtime, and when an
   insert pushes a shard over its budget the oldest-mtime entries *of that
-  shard* are deleted first, under the shard lock.  Eviction races between
-  processes are tolerated (a concurrently-deleted file is simply
-  skipped).
+  shard* are deleted first, under the shard lock, and every fan-out
+  directory they leave empty is removed, so later scans never walk empty
+  directories.  Eviction races between processes are tolerated (a
+  concurrently-deleted file is simply skipped, and a write whose fan-out
+  directory another process removed re-creates it and publishes again).
 * **Corruption tolerance** — a read that fails for any reason (truncated
   file, bad pickle, wrong format tag) counts as a miss, removes the bad
   entry, and increments the ``errors`` counter; it never propagates.
@@ -216,10 +218,12 @@ class DiskCache:
             return False
         with shard.lock:
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                # a handle with another shard count may have migrated the
+                # shard directory away; eviction never removes it
+                shard.directory.mkdir(parents=True, exist_ok=True)
                 with open(tmp, "wb") as fh:
                     fh.write(payload)
-                os.replace(tmp, path)
+                self._publish(tmp, path)
             except Exception:
                 with self._lock:
                     self.errors += 1
@@ -235,6 +239,23 @@ class DiskCache:
             self.writes += 1
         return True
 
+    @staticmethod
+    def _publish(tmp: Path, path: Path) -> None:
+        """Move *tmp* (in the shard directory) to *path*, creating the
+        fan-out directory as often as another process's eviction removes
+        it before the move lands."""
+        while True:
+            try:
+                os.replace(tmp, path)
+                return
+            except FileNotFoundError:
+                if not tmp.exists():
+                    raise
+            try:
+                path.parent.mkdir()
+            except FileExistsError:
+                pass
+
     # -- eviction ---------------------------------------------------------------
     def _shard_entries(self, shard: _Shard) -> list[tuple[float, int, Path]]:
         """One shard's resident entries as ``(mtime, size, path)``."""
@@ -246,7 +267,11 @@ class DiskCache:
         for sub in subdirs:
             if not (sub.is_dir() and _is_legacy_fanout(sub.name)):
                 continue
-            for path in sub.glob("*.pkl"):
+            try:  # another process's eviction may have emptied and removed it
+                paths = list(sub.glob("*.pkl"))
+            except OSError:
+                continue
+            for path in paths:
                 try:
                     stat = path.stat()
                 except OSError:
@@ -277,6 +302,10 @@ class DiskCache:
             if self._remove(path):
                 total -= size
                 evicted += 1
+                try:
+                    path.parent.rmdir()
+                except OSError:
+                    pass  # the fan-out directory still holds entries
         shard.bytes = total
         with self._lock:
             self.evictions += evicted

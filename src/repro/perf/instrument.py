@@ -11,13 +11,9 @@ into three labeled series of the process-wide
 and, when the :data:`repro.obs.tracing.tracer` is enabled, opens a nested
 span named after the kernel — so a ``--trace`` run shows every min-plus
 convolution under the experiment that triggered it.  With tracing off the
-extra cost is a single attribute check.
-
-:func:`snapshot` and :func:`reset` are kept as thin compatibility views
-over the registry: ``snapshot()`` returns the familiar
-``{name: {"calls": int, "seconds": float}}`` mapping (the payload behind
-``repro.perf.report()`` and ``benchmarks/BENCH_kernels.json``), and
-``reset()`` zeroes exactly the kernel series.
+extra cost is a single attribute check.  Read the series with
+``registry.snapshot()`` (or the CLI's ``--metrics-out``); :func:`reset`
+zeroes exactly the kernel series.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Any, Callable, TypeVar
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, registry
 from repro.obs.tracing import tracer
 
-__all__ = ["instrumented", "snapshot", "reset", "record"]
+__all__ = ["instrumented", "reset", "record"]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -86,32 +82,6 @@ def instrumented(
     return decorate
 
 
-def snapshot(*, reset: bool = False) -> dict[str, dict[str, float]]:
-    """The per-kernel counters as ``{name: {calls, seconds}}``.
-
-    ``calls`` is an ``int``, ``seconds`` a ``float``.  Kernels whose call
-    count is zero (e.g. after a :func:`reset`) are omitted, so the mapping
-    is empty exactly when nothing ran.  With ``reset=True`` the kernel
-    series are zeroed after being captured.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for series in registry.series(CALLS_METRIC):
-        calls = series.value
-        if calls:
-            out[series.labels["kernel"]] = {"calls": int(calls)}
-    for series in registry.series(SECONDS_METRIC):
-        entry = out.get(series.labels["kernel"])
-        if entry is not None:
-            entry["seconds"] = float(series.value)
-    if reset:
-        _reset()
-    return out
-
-
-def _reset() -> None:
-    registry.reset(prefix=_KERNEL_PREFIX)
-
-
 def reset() -> None:
     """Zero all per-kernel series (they stay registered)."""
-    _reset()
+    registry.reset(prefix=_KERNEL_PREFIX)

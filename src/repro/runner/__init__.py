@@ -1,4 +1,4 @@
-"""repro.runner — parallel experiment execution with a persistent cache.
+"""repro.runner — parallel task execution with a persistent cache.
 
 The fan-out layer on top of everything else (see ``docs/architecture.md``):
 
@@ -8,8 +8,8 @@ The fan-out layer on top of everything else (see ``docs/architecture.md``):
   serial fallback; workers report spans/metrics into their own collectors
   and the parent merges them, so tracing and metrics export keep working
   under parallelism;
-* :mod:`repro.runner.tasks` — the stock picklable task functions (run an
-  experiment by id, one frequency/backlog sweep point, benchmark
+* :mod:`repro.runner.tasks` — the stock picklable task functions (one
+  frequency/backlog sweep point, one open-system scenario, benchmark
   workloads).
 
 Combined with the persistent kernel cache
@@ -22,18 +22,14 @@ Quick use::
     from repro import runner
     from repro.runner import tasks
 
-    results = runner.run_many(
-        tasks.run_experiment_task,
-        [("E1", {}), ("E2", {}), ("E3", {})],
-        max_workers=4,
-        cache_dir=".repro-cache",
-    )
     swept = runner.sweep(
         tasks.frequency_backlog_point,
         {"buffer_size": [810, 1620, 3240]},
         fixed={"frames": 24},
         max_workers=4,
+        cache_dir=".repro-cache",
     )
+    results = runner.run_many(tasks.sleep_task, [0.1, 0.2], max_workers=2)
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ to worker processes by pickling it *by reference*, so it must live at
 module level in an importable module.  This module collects the functions
 the CLI, the benchmarks, and the tests fan out:
 
-* :func:`run_experiment_task` — execute one registered experiment by id;
 * :func:`frequency_backlog_point` — one point of the paper's
   frequency/backlog design-space sweep (§3.2, eqs. (7), (9), (10)),
   harnessed like any experiment so every point carries a run manifest;
@@ -24,25 +23,11 @@ import time
 from typing import Any
 
 __all__ = [
-    "run_experiment_task",
     "frequency_backlog_point",
     "open_system_point",
     "sleep_task",
     "convolution_workload",
 ]
-
-
-def run_experiment_task(item: tuple[str, dict[str, Any]]):
-    """Run one registered experiment: *item* is ``(experiment id, params)``.
-
-    Returns the :class:`~repro.experiments.common.ExperimentResult`
-    (manifest attached by the harness) — fully picklable, so it travels
-    back to the parent unchanged.
-    """
-    exp_id, params = item
-    from repro.experiments.common import run_experiment
-
-    return run_experiment(exp_id, **params)
 
 
 def frequency_backlog_point(

@@ -1,7 +1,7 @@
 """Schedulability analysis with workload curves (paper §3.1) plus the
 substrate it rests on: the periodic task model, Lehoczky's exact RMS test,
-response-time analysis, EDF demand bounds, and a discrete-event preemptive
-scheduler simulator used to validate the analytic verdicts.
+response-time analysis, and a discrete-event preemptive scheduler
+simulator used to validate the analytic verdicts.
 """
 
 from repro.scheduling.task import PeriodicTask, TaskSet
@@ -19,13 +19,6 @@ from repro.scheduling.response_time import (
     ResponseTimeResult,
     response_times_classic,
     response_times_curves,
-)
-from repro.scheduling.edf import (
-    EDFAnalysis,
-    demand_bound_classic,
-    demand_bound_curves,
-    edf_test_classic,
-    edf_test_curves,
 )
 from repro.scheduling.generator import uunifast, random_task_set, random_variable_task_set
 from repro.scheduling.priority import deadline_monotonic, audsley_assignment
@@ -51,11 +44,6 @@ __all__ = [
     "ResponseTimeResult",
     "response_times_classic",
     "response_times_curves",
-    "EDFAnalysis",
-    "demand_bound_classic",
-    "demand_bound_curves",
-    "edf_test_classic",
-    "edf_test_curves",
     "uunifast",
     "random_task_set",
     "random_variable_task_set",

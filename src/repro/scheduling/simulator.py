@@ -3,7 +3,7 @@
 Validates the analytic tests: jobs are released periodically, each with a
 per-job demand drawn from a caller-supplied generator (so variable execution
 demand — the paper's subject — can be replayed or synthesized), and executed
-preemptively under rate-monotonic fixed priorities or EDF.
+preemptively under rate-monotonic fixed priorities.
 
 The simulator is exact for piecewise-constant demand: between consecutive
 events (release or completion) the processor serves the single
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping
+from typing import Callable, Mapping
 
 from repro.obs.metrics import registry
 from repro.obs.tracing import tracer
@@ -114,9 +114,10 @@ def simulate(
     horizon: float,
     *,
     demands: Mapping[str, DemandGenerator] | None = None,
-    policy: Literal["fixed", "edf"] = "fixed",
 ) -> SimulationResult:
-    """Simulate *task_set* preemptively over ``[0, horizon)``.
+    """Simulate *task_set* preemptively over ``[0, horizon)`` under fixed
+    priorities in task-set order (rate-monotonic for a
+    :class:`~repro.scheduling.task.TaskSet`).
 
     Parameters
     ----------
@@ -132,21 +133,14 @@ def simulate(
         :func:`wcet_demands`.  A generated demand must be positive and, for
         a meaningful comparison with analysis, not exceed the task's WCET
         (checked).
-    policy:
-        ``"fixed"`` — rate-monotonic fixed priorities (task-set order);
-        ``"edf"`` — earliest absolute deadline first.
     """
     check_positive(horizon, "horizon")
-    if policy not in ("fixed", "edf"):
-        raise ValidationError(f"unknown policy {policy!r}")
-    with tracer.span(
-        "sched.simulate", policy=policy, horizon=horizon, tasks=len(list(task_set))
-    ):
-        result = _simulate(task_set, horizon, demands=demands, policy=policy)
-    registry.counter("sched.runs", policy=policy).inc()
-    registry.counter("sched.jobs", policy=policy).inc(len(result.jobs))
-    registry.counter("sched.deadline_misses", policy=policy).inc(result.deadline_misses())
-    registry.counter("sched.busy_seconds", policy=policy).add(result.busy_time)
+    with tracer.span("sched.simulate", horizon=horizon, tasks=len(list(task_set))):
+        result = _simulate(task_set, horizon, demands=demands)
+    registry.counter("sched.runs").inc()
+    registry.counter("sched.jobs").inc(len(result.jobs))
+    registry.counter("sched.deadline_misses").inc(result.deadline_misses())
+    registry.counter("sched.busy_seconds").add(result.busy_time)
     return result
 
 
@@ -155,7 +149,6 @@ def _simulate(
     horizon: float,
     *,
     demands: Mapping[str, DemandGenerator] | None,
-    policy: Literal["fixed", "edf"],
 ) -> SimulationResult:
     gens = dict(wcet_demands(task_set))
     if demands is not None:
@@ -165,11 +158,6 @@ def _simulate(
         gens.update(demands)
 
     priority_index = {t.name: i for i, t in enumerate(task_set)}
-
-    def sort_key(task_name: str, release: float, abs_deadline: float, index: int):
-        if policy == "fixed":
-            return (priority_index[task_name], release, index)
-        return (abs_deadline, priority_index[task_name], index)
 
     # pre-compute releases within the horizon (honouring offsets)
     releases: list[tuple[float, str, int]] = []
@@ -202,7 +190,7 @@ def _simulate(
             abs_dl = r + task.deadline
             heapq.heappush(
                 ready,
-                _ReadyJob(sort_key(name, r, abs_dl, idx), name, idx, r, demand, demand, abs_dl),
+                _ReadyJob((priority_index[name], r, idx), name, idx, r, demand, demand, abs_dl),
             )
             pos += 1
         return pos

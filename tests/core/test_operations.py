@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.operations (closures, envelopes, hulls)."""
+"""Unit tests for repro.core.operations (closures and envelopes)."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.operations import (
-    concavify_upper,
     envelope_lower,
     envelope_upper,
-    merge_pairs,
     subadditive_closure,
     superadditive_closure,
 )
 from repro.core.validation import check_subadditive, check_superadditive
-from repro.core.workload import WorkloadCurve, WorkloadCurvePair
+from repro.core.workload import WorkloadCurve
 from repro.util.validation import ValidationError
 
 demands_lists = st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=2, max_size=40)
@@ -93,40 +91,3 @@ class TestEnvelopes:
         lo = WorkloadCurve("lower", [1], [1.0])
         with pytest.raises(ValidationError):
             envelope_upper([lo])
-
-    def test_merge_pairs(self):
-        p1 = WorkloadCurvePair.from_demand_array([1.0, 5.0])
-        p2 = WorkloadCurvePair.from_demand_array([3.0, 2.0])
-        merged = merge_pairs([p1, p2])
-        assert merged.wcet == 5.0
-        assert merged.bcet == 1.0
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            merge_pairs([])
-
-
-class TestConcavify:
-    def test_dominates_original(self):
-        up = WorkloadCurve.from_demand_array([3, 1, 4, 1, 5, 9, 2, 6], "upper")
-        hull = concavify_upper(up)
-        ks = np.arange(1, 9)
-        assert np.all(hull(ks) >= up(ks) - 1e-9)
-
-    def test_concave_increments(self):
-        up = WorkloadCurve.from_demand_array([3, 1, 4, 1, 5, 9, 2, 6], "upper")
-        hull = concavify_upper(up)
-        ks = np.arange(0, 9)
-        increments = np.diff(hull(ks))
-        assert np.all(np.diff(increments) <= 1e-9)
-
-    def test_already_concave_unchanged(self):
-        up = WorkloadCurve("upper", [1, 2, 3], [6.0, 10.0, 12.0])
-        hull = concavify_upper(up)
-        ks = np.arange(1, 4)
-        assert np.allclose(hull(ks), up(ks))
-
-    def test_kind_enforced(self):
-        lo = WorkloadCurve("lower", [1], [1.0])
-        with pytest.raises(ValidationError):
-            concavify_upper(lo)

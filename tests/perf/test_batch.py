@@ -1,4 +1,4 @@
-"""Batch kernels: convolve_many / evaluate_at_many / convolve_reduce."""
+"""Batch kernels: convolve_many / convolve_reduce."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import pytest
 
 import repro.perf as perf
 from repro.curves.arrival import leaky_bucket, periodic_upper
-from repro.curves.curve import linear_curve, step_curve, zero_curve
+from repro.curves.curve import linear_curve, step_curve
 from repro.curves.minplus import convolve
 from repro.curves.service import rate_latency
-from repro.perf.batch import convolve_many, convolve_reduce, evaluate_at_many
+from repro.perf.batch import convolve_many, convolve_reduce
 from repro.util.validation import ValidationError
 
 
@@ -39,31 +39,6 @@ def test_convolve_many_dedups_repeated_pairs():
     per_op = perf.cache_stats()["per_op"]["minplus.convolve"]
     assert per_op["misses"] == 1
     assert per_op["hits"] == 5
-
-
-def test_evaluate_at_many_matches_scalar_evaluation():
-    curves = [
-        leaky_bucket(4.0, 1.0),
-        rate_latency(3.0, 2.0),
-        step_curve([0.5, 1.5, 2.5]),
-        zero_curve(),
-    ]
-    deltas = np.linspace(0.0, 5.0, 23)
-    out = evaluate_at_many(curves, deltas)
-    assert out.shape == (4, 23)
-    for i, curve in enumerate(curves):
-        expected = [curve(float(d)) for d in deltas]
-        assert np.array_equal(out[i], np.array(expected))
-
-
-def test_evaluate_at_many_scalar_delta_and_validation():
-    out = evaluate_at_many([linear_curve(2.0)], 3.0)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 6.0
-    with pytest.raises(ValidationError):
-        evaluate_at_many([linear_curve(1.0)], [-1.0])
-    with pytest.raises(ValidationError):
-        evaluate_at_many([object()], [1.0])  # type: ignore[list-item]
 
 
 def test_convolve_reduce_matches_left_fold():

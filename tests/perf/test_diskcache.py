@@ -7,6 +7,8 @@ integration under the in-memory level and the metrics publication.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
 import threading
 import time
@@ -23,6 +25,16 @@ from repro.perf.diskcache import DiskCache
 def entry_path(cache: DiskCache, key: tuple):
     """Filesystem path of *key*'s entry."""
     return cache._path_for(cache.key_hex(key))
+
+
+def _put_all(directory: str, keys: list[tuple], barrier, results) -> None:
+    """Worker: once every worker is ready, write *keys* into a 1-byte
+    store; reports its error count on *results*."""
+    cache = DiskCache(directory, max_bytes=1)
+    barrier.wait(timeout=60)
+    for key in keys:
+        cache.put(key, key)
+    results.put(cache.stats()["errors"])
 
 
 class TestDiskCacheBasics:
@@ -89,6 +101,15 @@ class TestEviction:
             cache.put((i,), b"y" * 2048)
         assert cache._scan_bytes() <= 10_000
 
+    def test_eviction_leaves_no_empty_fanout_directory(self, tmp_path):
+        cache = DiskCache(tmp_path, max_bytes=5_000)
+        for i in range(300):
+            cache.put(("e", i), b"z" * 1000)
+        assert cache.stats()["evictions"] > 250
+        fanouts = [d for d in tmp_path.iterdir() if d.is_dir()]
+        assert fanouts
+        assert all(any(d.iterdir()) for d in fanouts), "emptied fan-out left behind"
+
 
 class TestCorruption:
     def test_truncated_file_reads_as_miss_and_heals(self, tmp_path):
@@ -147,6 +168,29 @@ class TestConcurrency:
         for i in range(7):
             hit, value = cache.get(("shared", i))
             assert hit and value["i"] == i
+
+    def test_processes_evicting_one_fanout_directory_lose_no_write(self, tmp_path):
+        # every key lands in one fan-out directory of a 1-byte store, so each
+        # put evicts everything and removes the directory another process
+        # may be publishing into
+        cache = DiskCache(tmp_path, max_bytes=1)
+        candidates = (("k", i) for i in itertools.count())
+        keys = list(itertools.islice(
+            (k for k in candidates if cache.key_hex(k).startswith("00")), 96
+        ))
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(4), ctx.Queue()
+        workers = [
+            ctx.Process(target=_put_all, args=(str(tmp_path), keys, barrier, results))
+            for _ in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        errors = [results.get(timeout=120) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert errors == [0, 0, 0, 0]
 
     def test_concurrent_instances_share_the_store(self, tmp_path):
         a = DiskCache(tmp_path)

@@ -143,6 +143,12 @@ class TestMigration:
             assert flat.get(("b", i)) == (True, i * i)
         assert not list(tmp_path.glob(f"{_SHARD_PREFIX}*"))
 
+    def test_open_handle_keeps_writing_after_another_migrates(self, tmp_path):
+        sharded = DiskCache(tmp_path, shards=8)
+        DiskCache(tmp_path, shards=1)  # migrates the shard directories away
+        assert all(sharded.put(("late", i), i) for i in range(20))
+        assert sharded.stats()["errors"] == 0
+
     def test_resharding_between_counts(self, tmp_path):
         four = DiskCache(tmp_path, shards=4)
         for i in range(15):

@@ -7,13 +7,13 @@ import pytest
 import repro.perf as perf
 from repro.obs.metrics import registry
 from repro.obs.tracing import tracer
+from repro.perf import instrument
 from repro.perf.instrument import (
     CALLS_METRIC,
     HISTOGRAM_METRIC,
     SECONDS_METRIC,
     instrumented,
     record,
-    snapshot,
 )
 
 
@@ -30,30 +30,48 @@ def _work(x):
     return x * 2
 
 
+def _calls(kernel: str):
+    return registry.counter(CALLS_METRIC, kernel=kernel).value
+
+
+def _seconds(kernel: str):
+    return registry.counter(SECONDS_METRIC, kernel=kernel).value
+
+
+def _snapshot_calls(snap: dict, kernel: str):
+    (entry,) = [
+        c
+        for c in snap["counters"]
+        if c["name"] == CALLS_METRIC and c["labels"] == {"kernel": kernel}
+    ]
+    return entry["value"]
+
+
 class TestInstrumented:
     def test_counts_calls_and_time(self):
         assert _work(3) == 6
         assert _work(4) == 8
-        snap = snapshot()
-        assert snap["test.kernel"]["calls"] == 2
-        assert snap["test.kernel"]["seconds"] >= 0
+        assert _calls("test.kernel") == 2
+        assert _seconds("test.kernel") >= 0
 
     def test_calls_is_int_in_exported_json(self):
         _work(1)
-        payload = json.dumps(snapshot())
-        assert '"calls": 1' in payload  # not 1.0
+        exported = json.loads(json.dumps(registry.snapshot()))
+        calls = _snapshot_calls(exported, "test.kernel")
+        assert calls == 1 and isinstance(calls, int)  # not 1.0
 
     def test_snapshot_without_reset_roundtrips(self):
         _work(1)
-        first = snapshot(reset=False)
-        second = snapshot(reset=False)
+        first = registry.snapshot()
+        second = registry.snapshot()
         assert first == second
-        assert second["test.kernel"]["calls"] == 1
+        assert _snapshot_calls(second, "test.kernel") == 1
 
     def test_snapshot_with_reset_zeroes(self):
         _work(1)
-        assert snapshot(reset=True)["test.kernel"]["calls"] == 1
-        assert snapshot() == {}
+        assert _snapshot_calls(registry.snapshot(), "test.kernel") == 1
+        instrument.reset()
+        assert _snapshot_calls(registry.snapshot(), "test.kernel") == 0
 
     def test_registry_series_are_labeled(self):
         _work(1)
@@ -110,20 +128,11 @@ class TestInstrumented:
     def test_record_accumulates(self):
         record("test.manual", 0.5)
         record("test.manual", 0.25)
-        snap = snapshot()
-        assert snap["test.manual"]["calls"] == 2
-        assert snap["test.manual"]["seconds"] == pytest.approx(0.75)
+        assert _calls("test.manual") == 2
+        assert _seconds("test.manual") == pytest.approx(0.75)
 
 
-class TestPerfReportCompat:
-    def test_report_shape(self):
-        _work(1)
-        report = perf.report()
-        assert set(report) == {"kernels", "cache"}
-        assert report["kernels"]["test.kernel"]["calls"] == 1
-        for key in ("hits", "misses", "evictions", "bypasses", "calls"):
-            assert key in report["cache"]
-
+class TestRegistryView:
     def test_cache_counters_visible_in_registry_snapshot(self):
         snap = registry.snapshot()
         names = {c["name"] for c in snap["counters"]}

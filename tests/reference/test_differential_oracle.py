@@ -26,11 +26,9 @@ from repro.curves.curve import (
 )
 from repro.curves.minplus import convolve, convolve_at, deconvolve, deconvolve_at
 from repro.curves.service import rate_latency
-from repro.perf.batch import evaluate_at_many
 from repro.reference import (
     convolve_at_brute,
     deconvolve_at_brute,
-    eval_pwl_brute,
     pseudo_inverse_brute,
     window_sums_brute,
     workload_eval_brute,
@@ -262,20 +260,3 @@ class TestEnvelopeOracle:
             for e in budgets:
                 expected = pseudo_inverse_brute(gk, gv, kind, e)
                 assert curve.pseudo_inverse(e) == expected, (case, e, kind)
-
-
-# ---------------------------------------------------------------------------
-# batch evaluation
-# ---------------------------------------------------------------------------
-
-class TestBatchEvaluationOracle:
-    def test_evaluate_at_many_matches_brute_pointwise(self):
-        rng = np.random.default_rng(555)
-        for case in range(N_CASES):
-            curves = [_random_curve(rng) for _ in range(int(rng.integers(1, 5)))]
-            deltas = np.sort(rng.uniform(0.0, 12.0, int(rng.integers(1, 8))))
-            out = evaluate_at_many(curves, deltas)
-            for i, curve in enumerate(curves):
-                for j, delta in enumerate(deltas):
-                    expected = eval_pwl_brute(curve, float(delta))
-                    assert out[i, j] == pytest.approx(expected, rel=REL_TOL, abs=1e-12), case

@@ -1,11 +1,11 @@
 """Golden determinism: a multi-worker run must be byte-identical to serial.
 
-The satellite guarantee of the parallel runner — fanning experiments out
-over 4 worker processes changes wall-clock time and nothing else.  The
-comparison is on :func:`repro.obs.manifest.stable_view` (the manifest
-minus its timing fields) serialized to canonical JSON, so any drift in
-parameters, input digests, seed, version, or result-data digest fails
-loudly.
+The guarantee of the parallel runner — fanning tasks (here, whole
+experiments) out over 4 worker processes changes wall-clock time and
+nothing else.  The comparison is on
+:func:`repro.obs.manifest.stable_view` (the manifest minus its timing
+fields) serialized to canonical JSON, so any drift in parameters, input
+digests, seed, version, or result-data digest fails loudly.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import json
 
 import pytest
 
+from repro.experiments import ALL_EXPERIMENTS
 from repro.obs.manifest import stable_view
 from repro.runner import run_many
-from repro.runner.tasks import run_experiment_task
 
 #: Light experiments plus the seeded-random acceptance study (A5) — the one
 #: whose determinism actually depends on seeding.
@@ -26,6 +26,13 @@ EXPERIMENT_ITEMS = [
     ("E3", {}),
     ("A5", {"sets_per_point": 6, "utilizations": (0.6, 1.0, 1.4)}),
 ]
+
+
+def run_experiment_task(item: tuple[str, dict]):
+    """Worker: run one registered experiment, *item* = ``(id, params)``
+    (module level, so workers unpickle it by reference)."""
+    exp_id, params = item
+    return ALL_EXPERIMENTS[exp_id](**params)
 
 
 def canonical(manifest: dict) -> str:

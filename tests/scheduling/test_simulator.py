@@ -80,27 +80,6 @@ class TestDemands:
         assert gens["a"](0) == 2.0
 
 
-class TestEdfPolicy:
-    def test_edf_schedules_full_utilization(self):
-        # U = 1.0: EDF schedulable, RM not
-        ts = TaskSet([PeriodicTask("a", 2.0, 1.0), PeriodicTask("b", 4.0, 2.0)])
-        edf = simulate(ts, 40.0, policy="edf")
-        assert edf.deadline_misses() == 0
-
-    def test_unknown_policy_rejected(self):
-        ts = TaskSet([PeriodicTask("a", 2.0, 1.0)])
-        with pytest.raises(ValidationError):
-            simulate(ts, 10.0, policy="round-robin")
-
-    def test_edf_differs_from_fixed(self):
-        ts = TaskSet([PeriodicTask("a", 3.0, 1.5), PeriodicTask("b", 4.0, 1.8)])
-        fixed = simulate(ts, 24.0, policy="fixed")
-        edf = simulate(ts, 24.0, policy="edf")
-        # both complete all jobs; orderings may differ but totals agree
-        assert len(fixed.jobs) == len(edf.jobs)
-        assert fixed.busy_time == pytest.approx(edf.busy_time)
-
-
 class TestConservation:
     def test_busy_time_equals_total_demand_when_feasible(self, two_tasks):
         horizon = 24.0

@@ -40,6 +40,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 2" in out
 
+    def test_fan_out_options_belong_to_sweep(self, capsys):
+        for option in (["--parallel", "2"], ["--seed", "7"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["all", *option])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["E99"])
@@ -90,24 +97,16 @@ class TestCli:
 
 
 class TestParallelCli:
-    def test_parallel_run_matches_serial_output(self, capsys, tmp_path):
-        out_dir = tmp_path / "out"
-        assert main(["E1", "E2", "--parallel", "2", "--out-dir", str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "[E1]" in out and "[E2]" in out
-        assert (out_dir / "E1.manifest.json").exists()
-        combined = json.loads((out_dir / "PARALLEL.manifest.json").read_text())
-        assert combined["schema"] == "repro.run-manifest/1"
-        assert [c["experiment_id"] for c in combined["children"]] == ["E1", "E2"]
-
-    def test_parallel_trace_and_metrics(self, tmp_path):
+    def test_parallel_trace_and_metrics(self, capsys, tmp_path, small_context):
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
-        args = ["E1", "--parallel", "2", "--trace", str(trace)]
+        args = ["sweep", "--buffers", "810,1620", "--frames", "12",
+                "--dense-limit", "512", "--growth", "1.05", "--parallel", "2",
+                "--trace", str(trace)]
         assert main(args + ["--metrics-out", str(metrics)]) == 0
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         names = [r["name"] for r in records]
-        assert "runner.run_many" in names and "experiment:E1" in names
+        assert "runner.run_many" in names and "experiment:SWEEP-b810" in names
         ids = {r["id"] for r in records}
         assert all(r["parent"] is None or r["parent"] in ids for r in records)
         snap = json.loads(metrics.read_text())
@@ -117,11 +116,14 @@ class TestParallelCli:
         assert worker_series, "worker metrics must be merged into the snapshot"
 
     def test_parallel_failure_exits_nonzero(self, capsys, tmp_path):
-        # an impossible frames value makes the case-study build fail in the
-        # worker; the CLI must surface it and exit 1 without crashing
-        assert main(["E5", "--frames", "-3", "--parallel", "2"]) == 1
-        err = capsys.readouterr().err
-        assert "error: E5:" in err
+        # an impossible frames value makes the case-study build fail; the
+        # CLI must surface it, run the other ids and exit 1 without a
+        # traceback
+        assert main(["E5", "E1", "--frames", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "error: E5: frames must be >= 12, got -3" in captured.err
+        assert "Traceback" not in captured.err
+        assert "[E1]" in captured.out
 
     def test_cache_dir_serial_populates_disk(self, capsys, tmp_path):
         cache_dir = tmp_path / "kernels"
