@@ -26,16 +26,22 @@ from pathlib import Path
 
 TRACE_KEYS = {"name", "ts", "dur", "id", "parent", "thread", "attrs"}
 METRIC_SECTIONS = ("counters", "gauges", "histograms")
-#: Phases a traced ``case_study.build`` must attribute its time to: every
-#: build span needs each of these among its descendants.
-CASE_STUDY_PHASES = (
-    "case_study.clip",
-    "case_study.generate",
-    "case_study.workload",
-    "case_study.arrival",
-    "case_study.envelopes",
-    "case_study.alpha_max",
-)
+#: Child spans a traced span must attribute its time to, by span name:
+#: every span of that name needs each of these among its descendants.
+#: The case-study build has its phases; A2 and A6 run one task span per
+#: clip under their own fan-out.
+REQUIRED_DESCENDANTS = {
+    "case_study.build": (
+        "case_study.clip",
+        "case_study.generate",
+        "case_study.workload",
+        "case_study.arrival",
+        "case_study.envelopes",
+        "case_study.alpha_max",
+    ),
+    "experiment:A2": ("runner.run_many", "A2.clip"),
+    "experiment:A6": ("runner.run_many", "A6.clip"),
+}
 MANIFEST_KEYS = {
     "schema",
     "experiment_id",
@@ -93,8 +99,10 @@ def validate_trace(path: Path) -> int:
         names[record["id"]] = record["name"]
         children.setdefault(parent, []).append(record["id"])
     for span_id, name in names.items():
-        if name == "case_study.build":
-            _require_descendants(path, span_id, names, children, CASE_STUDY_PHASES)
+        if name in REQUIRED_DESCENDANTS:
+            _require_descendants(
+                path, span_id, names, children, REQUIRED_DESCENDANTS[name]
+            )
     return count
 
 

@@ -379,6 +379,7 @@ def _sweep_main(argv: list[str]) -> int:
         tracer.reset()
         _arm_atexit_export(args)
 
+    from repro.experiments.common import sweep_frequency_evaluator
     from repro.runner import sweep
     from repro.runner.tasks import frequency_backlog_point
     from repro.util.report import TextTable
@@ -388,17 +389,30 @@ def _sweep_main(argv: list[str]) -> int:
         with tracer.span("cli", command="sweep-service", points=len(buffers)):
             outcomes = _sweep_via_service(args, buffers)
     else:
+        context = {
+            "frames": args.frames,
+            "dense_limit": args.dense_limit,
+            "growth": args.growth,
+            "stream_chunk": args.stream_chunk,
+            "max_segments": args.max_segments,
+            "compact_error": args.compact_error,
+        }
         with tracer.span("cli", command="sweep", points=len(buffers)):
+            if args.cache_dir:
+                from repro.perf.cache import attach_disk_cache
+
+                attach_disk_cache(args.cache_dir)
+            # build the context and the evaluator once, here: the workers
+            # sweep() forks inherit them instead of each building its own
+            try:
+                sweep_frequency_evaluator(**context)
+            except ValidationError:
+                pass  # every point fails on the same input and reports it
             swept = sweep(
                 frequency_backlog_point,
                 {"buffer_size": buffers},
                 fixed={
-                    "frames": args.frames,
-                    "dense_limit": args.dense_limit,
-                    "growth": args.growth,
-                    "stream_chunk": args.stream_chunk,
-                    "max_segments": args.max_segments,
-                    "compact_error": args.compact_error,
+                    **context,
                     "bisect": args.bisect,
                     "sim_validate": args.sim_validate,
                     "sim_items": args.sim_items,

@@ -596,13 +596,6 @@ class WorkloadCurvePair:
         """Best-case execution time of a single activation, ``γ^l(1)``."""
         return float(self.lower(1))
 
-    def merge(self, other: "WorkloadCurvePair") -> "WorkloadCurvePair":
-        """Envelope over two trace-derived pairs: pointwise max of uppers,
-        pointwise min of lowers (the multi-clip combination of Figure 6)."""
-        return WorkloadCurvePair(
-            self.upper.max_with(other.upper), self.lower.min_with(other.lower)
-        )
-
     def gain_over_wcet(self, k: int) -> float:
         """Relative tightening at *k*: ``1 - γ^u(k) / (k·wcet)`` — the grey
         area of Figure 2 expressed as a fraction."""

@@ -5,22 +5,31 @@ between WCET-based and workload-curve-based analysis.  We sweep the
 stall-burst magnitude of the PE2 demand model (the mechanism that inflates
 the WCET without moving sustained averages) and measure the frequency
 saving — it should grow monotonically-ish with the WCET/average ratio.
+
+The stall levels differ only in PE2's execution jitter, the generator's
+last draw, so each clip is generated once for all of them, one
+:func:`~repro.experiments.common.fan_out` task per clip.
 """
 
 from __future__ import annotations
 
+import functools
+
+from repro import obs
 from repro.analysis.frequency import minimum_frequency_curves, minimum_frequency_wcet
 from repro.core.operations import envelope_upper
 from repro.core.workload import WorkloadCurve
 from repro.curves.arrival import from_trace_upper
+from repro.curves.curve import PiecewiseLinearCurve
 from repro.experiments.common import (
     BUFFER_ONE_FRAME,
     ExperimentResult,
     alpha_max,
+    fan_out,
     harnessed,
 )
+from repro.mpeg.bitstream import ClipProfile, SyntheticClip
 from repro.mpeg.clips import CLIP_PROFILES
-from repro.mpeg.bitstream import SyntheticClip
 from repro.mpeg.demand import IDCT_MC_MODEL, StageDemandModel
 from repro.util.report import TextTable, format_quantity
 from repro.util.staircase import make_k_grid
@@ -36,6 +45,31 @@ def _model_with_stalls(stall_extra: float) -> StageDemandModel:
         stall_probability=IDCT_MC_MODEL.stall_probability,
         stall_extra=stall_extra,
     )
+
+
+def _grid(size: int):
+    return make_k_grid(size, dense_limit=1024, growth=1.04)
+
+
+def _clip_levels(
+    profile: ClipProfile, *, frames: int, models: list[StageDemandModel]
+) -> tuple[PiecewiseLinearCurve, list[WorkloadCurve], list[float]]:
+    """One clip's share of A2, run as a :func:`fan_out` task: its
+    arrival curve, which every stall level shares (PE1's output times do
+    not depend on the PE2 model), and per level its ``γᵘ`` and mean PE2
+    demand, all from one generation of the clip."""
+    with obs.tracer.span("A2.clip", clip=profile.name):
+        variants = SyntheticClip(profile, frames=frames).generate_pe2_variants(models)
+        pe1_output = variants[0].pe1_output
+        alpha = from_trace_upper(pe1_output, n_values=_grid(pe1_output.size))
+        gammas = [
+            WorkloadCurve.from_demand_array(
+                data.pe2_cycles, "upper", k_values=_grid(data.pe2_cycles.size)
+            )
+            for data in variants
+        ]
+        means = [float(data.pe2_cycles.mean()) for data in variants]
+    return alpha, gammas, means
 
 
 @harnessed
@@ -55,30 +89,18 @@ def run(
         ["stall extra", "WCET/avg ratio", "F_gamma", "F_wcet", "savings"],
         title="Ablation: frequency saving vs demand variability",
     )
+    task = functools.partial(
+        _clip_levels,
+        frames=frames,
+        models=[_model_with_stalls(stall) for stall in stall_levels],
+    )
+    per_clip = fan_out(task, profiles) if stall_levels else []
     rows = []
-    alpha = None
-    for stall in stall_levels:
-        model = _model_with_stalls(stall)
-        gammas = []
-        alphas = []
-        means = []
-        for profile in profiles:
-            clip = SyntheticClip(profile, frames=frames, pe2_model=model)
-            data = clip.generate()
-            grid = make_k_grid(data.pe2_cycles.size, dense_limit=1024, growth=1.04)
-            gammas.append(WorkloadCurve.from_demand_array(data.pe2_cycles, "upper", k_values=grid))
-            if alpha is None:
-                # PE1's output times do not depend on the PE2 demand model,
-                # so every stall level shares the first level's envelope
-                alphas.append(
-                    from_trace_upper(
-                        data.pe1_output,
-                        n_values=make_k_grid(data.pe1_output.size, dense_limit=1024, growth=1.04),
-                    )
-                )
-            means.append(float(data.pe2_cycles.mean()))
-        if alpha is None:
-            alpha = alpha_max(alphas)
+    for level, stall in enumerate(stall_levels):
+        if level == 0:  # the levels share the clips' arrival curves
+            alpha = alpha_max([clip_alpha for clip_alpha, _, _ in per_clip])
+        gammas = [clip_gammas[level] for _, clip_gammas, _ in per_clip]
+        means = [clip_means[level] for _, _, clip_means in per_clip]
         gamma_u = envelope_upper(gammas)
         wcet = max(g.per_activation_bound for g in gammas)
         ratio = wcet / (sum(means) / len(means))

@@ -15,16 +15,21 @@ refinement buys:
 2. typed intervals — curves from per-type WCETs over the real type
    sequences (hard-RT valid given the type patterns);
 3. measured demands — the paper's Figure 6 curves (soft-RT).
+
+The typed-interval curves are built one
+:func:`~repro.experiments.common.fan_out` task per clip, which ships
+only the clip's description and its two int8 type-code arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.frequency import minimum_frequency_curves, minimum_frequency_wcet
 from repro.core.operations import envelope_upper
 from repro.core.workload import WorkloadCurve
-from repro.experiments.common import BUFFER_ONE_FRAME, ExperimentResult, case_study_context, harnessed
+from repro.experiments.common import BUFFER_ONE_FRAME, ExperimentResult, case_study_context, fan_out, harnessed
 from repro.mpeg.macroblock import CodingClass, FrameType
 from repro.util.report import TextTable, format_quantity
 from repro.util.staircase import make_k_grid
@@ -35,17 +40,23 @@ _FRAME_OF_CODE = [FrameType.I, FrameType.P, FrameType.B]
 _CLASS_OF_CODE = list(CodingClass)
 
 
-def _interval_demands(clip, record) -> np.ndarray:
-    """Per-event worst-case demand by type: wcet(type(E_i))."""
-    profile = clip.pe2_model.profile()
-    wcet_by_pair = np.zeros((3, 3))
-    for fc in range(3):
-        for cc in range(3):
-            name = f"{_FRAME_OF_CODE[fc].value}/{_CLASS_OF_CODE[cc].value}"
-            wcet_by_pair[fc, cc] = (
-                profile.wcet(name) if name in profile else np.nan
-            )
-    return wcet_by_pair[record.frame_type_code, record.coding_code]
+def _interval_curve(item) -> WorkloadCurve:
+    """One clip's typed-interval ``γᵘ``, run as a :func:`fan_out` task
+    on ``(clip, frame_type_code, coding_code)``: each event is charged
+    its type's WCET, wcet(type(E_i))."""
+    clip, frame_type_code, coding_code = item
+    with obs.tracer.span("A6.clip", clip=clip.profile.name):
+        profile = clip.pe2_model.profile()
+        wcet_by_pair = np.zeros((3, 3))
+        for fc in range(3):
+            for cc in range(3):
+                name = f"{_FRAME_OF_CODE[fc].value}/{_CLASS_OF_CODE[cc].value}"
+                wcet_by_pair[fc, cc] = (
+                    profile.wcet(name) if name in profile else np.nan
+                )
+        demands = wcet_by_pair[frame_type_code, coding_code]
+        grid = make_k_grid(demands.size, dense_limit=1024, growth=1.04)
+        return WorkloadCurve.from_demand_array(demands, "upper", k_values=grid)
 
 
 @harnessed
@@ -54,13 +65,13 @@ def run(*, frames: int = 72, buffer_size: int = BUFFER_ONE_FRAME) -> ExperimentR
     ctx = case_study_context(frames=frames, buffer_size=buffer_size)
 
     # level 2: typed-interval curves over the actual type sequences
-    interval_curves = []
-    for clip, record in zip(ctx.clips, ctx.records):
-        demands = _interval_demands(clip, record)
-        grid = make_k_grid(demands.size, dense_limit=1024, growth=1.04)
-        interval_curves.append(
-            WorkloadCurve.from_demand_array(demands, "upper", k_values=grid)
-        )
+    interval_curves = fan_out(
+        _interval_curve,
+        [
+            (clip, record.frame_type_code, record.coding_code)
+            for clip, record in zip(ctx.clips, ctx.records)
+        ],
+    )
     gamma_interval = envelope_upper(interval_curves)
 
     f_wcet = minimum_frequency_wcet(ctx.alpha, gamma_interval.per_activation_bound, buffer_size)

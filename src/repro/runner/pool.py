@@ -49,6 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import registry
@@ -328,7 +329,8 @@ def run_many(
 
     ``cache_dir`` attaches the persistent kernel cache in the parent *and*
     in every worker, so min-plus results computed by any process are
-    shared with all others and with future runs.  ``seed`` drives the
+    shared with all others and with future runs; a store the parent
+    already has attached at that directory is kept, with its counters.  ``seed`` drives the
     deterministic per-task reseed (None disables reseeding).  ``retries``
     bounds resubmission of failed/timed-out items (a ``ValidationError``
     is never retried), with :func:`backoff_delay` sleeps between waves.
@@ -337,10 +339,12 @@ def run_many(
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if cache_dir is not None:
-        from repro.perf.cache import attach_disk_cache
+        from repro.perf.cache import attach_disk_cache, kernel_cache
 
-        attach_disk_cache(cache_dir)
         cache_dir = str(cache_dir)
+        attached = kernel_cache.disk
+        if attached is None or attached.directory != Path(cache_dir):
+            attach_disk_cache(cache_dir)
     if not items:
         return []
 

@@ -243,16 +243,6 @@ class TestPair:
             WorkloadCurve("lower", [1, 4], [2.0, 6.0]),
         )
 
-    def test_merge_envelopes(self):
-        t1 = EventTrace.from_type_names("aab", PROFILE)
-        t2 = EventTrace.from_type_names("bcc", PROFILE)
-        p1 = WorkloadCurvePair.from_trace(t1, demands="interval")
-        p2 = WorkloadCurvePair.from_trace(t2, demands="interval")
-        merged = p1.merge(p2)
-        ks = np.arange(1, 4)
-        assert np.all(merged.upper(ks) >= np.maximum(p1.upper(ks), p2.upper(ks)) - 1e-12)
-        assert np.all(merged.lower(ks) <= np.minimum(p1.lower(ks), p2.lower(ks)) + 1e-12)
-
     def test_gain_over_wcet(self, fig1_pair):
         assert fig1_pair.gain_over_wcet(1) == pytest.approx(0.0)
         assert 0.0 < fig1_pair.gain_over_wcet(9) < 1.0

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic clip generator."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.workload import WorkloadCurvePair
-from repro.mpeg.bitstream import ClipProfile, SyntheticClip, _front_end_recursion
+from repro.experiments.ablation_variability import _model_with_stalls
+from repro.mpeg.bitstream import ClipData, ClipProfile, SyntheticClip, _front_end_recursion
+from repro.mpeg.clips import CLIP_PROFILES
 from repro.mpeg.macroblock import CodingClass, FrameType
 from repro.obs.metrics import registry
 from repro.reference import completion_times_brute
@@ -152,6 +155,34 @@ class TestBitCaps:
             assert np.array_equal(capped.bits[sel], want)
             if cap > 0:
                 assert np.any(free.bits[sel] > cap)  # the bound binds
+
+
+class TestPe2Variants:
+    """One generation serves several PE2 models, as A2's stall levels need."""
+
+    #: A2's stall levels; 0.0 draws no stall randoms after the jitter
+    STALLS = (0.0, 0.35, 0.7, 1.4)
+
+    @pytest.mark.parametrize("profile", [CLIP_PROFILES[-1], CLIP_PROFILES[0]], ids=str)
+    def test_bit_identical_to_one_generation_per_model(self, profile):
+        models = [_model_with_stalls(stall) for stall in self.STALLS]
+        variants = SyntheticClip(profile, frames=12).generate_pe2_variants(models)
+        assert len(variants) == len(models)
+        for model, data in zip(models, variants):
+            fresh = SyntheticClip(profile, frames=12, pe2_model=model).generate()
+            for f in fields(ClipData):
+                got, want = getattr(data, f.name), getattr(fresh, f.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+
+    def test_variants_share_one_body_and_cache_nothing(self):
+        clip = SyntheticClip(PROFILE, frames=2)
+        light, heavy = clip.generate_pe2_variants(
+            [_model_with_stalls(0.0), _model_with_stalls(1.4)]
+        )
+        for f in fields(ClipData):
+            shared = getattr(light, f.name) is getattr(heavy, f.name)
+            assert shared == (f.name != "pe2_cycles"), f.name
+        assert clip._data is None
 
 
 class TestScaling:
